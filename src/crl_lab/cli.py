@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import os
 import platform
@@ -105,6 +106,83 @@ _DEFAULTS = {
 }
 
 
+def _num(lo=None, hi=None, integer=False, open_bounds=False):
+    """A number (an integer with ``integer``) within [lo, hi], or within
+    (lo, hi) with ``open_bounds``; a None bound is unbounded."""
+    kinds = int if integer else (int, float)
+
+    def ok(v):
+        if isinstance(v, bool) or not isinstance(v, kinds):
+            return False
+        if open_bounds:
+            return (lo is None or v > lo) and (hi is None or v < hi)
+        return (lo is None or v >= lo) and (hi is None or v <= hi)
+
+    what = "an integer" if integer else "a number"
+    if hi is not None:
+        what += f" in ({lo}, {hi})" if open_bounds else f" in [{lo}, {hi}]"
+    elif lo is not None:
+        what += f" > {lo}" if open_bounds else f" >= {lo}"
+    return ok, what
+
+
+def _int(lo=None, hi=None):
+    return _num(lo, hi, integer=True)
+
+
+def _list(item, min_len=1, max_len=None):
+    item_ok, item_what = item
+
+    def ok(v):
+        return (isinstance(v, list) and len(v) >= min_len
+                and (max_len is None or len(v) <= max_len)
+                and all(item_ok(x) for x in v))
+
+    size = f"{min_len}" + ("" if max_len == min_len else
+                           " or more" if max_len is None else f" to {max_len}")
+    return ok, f"a list of {size} items, each {item_what}"
+
+
+def _one_of(*choices):
+    return (lambda v: any(v == c and type(v) is type(c) for c in choices),
+            f"one of {list(choices)}")
+
+
+# what each config value must be, checked by load_config: key -> (test,
+# description); a "<command>:<key>" entry replaces the plain key's entry for
+# that command
+_VALID = {
+    "process": _one_of("crl", "mss"),
+    "n": _int(1),
+    "mss:n": _int(1, 4),  # labeled-DAG enumeration stops at n = 4
+    "rows_per_env": _int(1),
+    "n_envs": _int(1),
+    "mixing_kind": _one_of("mlp", "identity", "moebius"),
+    "n_mc": _int(1),
+    "thetas": _list(_num()),
+    "moebius_seed": _int(0),
+    "n_seeds": _int(1),
+    "lambdas": _list(_num(0)),
+    "rows": _int(2),
+    "epochs": _int(1),
+    "lr": _num(0, open_bounds=True),
+    "batch_size": _int(2),
+    "n_c": _int(1),
+    "n_s": _int(1),
+    "statistical": _one_of(False, True),
+    "causal": _one_of(False, True),
+    "change_prob": _num(0, 1),
+    "n_pairs": _int(2),
+    "seeds": _list(_int(0)),
+    "n_couplings": _int(1),
+    "hidden": _list(_int(1), min_len=0),
+    "test": _one_of("linear-gaussian", "oracle"),
+    "alpha": _num(0, 1, open_bounds=True),
+    "edge_weight": _num(),
+    "edge": _list(_int(0, 1), 2, 2),
+}
+
+
 def load_config(command: str, path: str | None) -> dict:
     defaults = _DEFAULTS[command]
     cfg = dict(defaults)
@@ -126,6 +204,10 @@ def load_config(command: str, path: str | None) -> dict:
                 f"config {path}: unknown key(s) {unknown}; "
                 f"allowed: {sorted(defaults)}"
             )
+        for key, value in user.items():
+            ok, what = _VALID.get(f"{command}:{key}", _VALID.get(key, (None, "")))
+            if ok is not None and not ok(value):
+                raise ConfigError(f"config {path}: {key} = {value!r} must be {what}")
         cfg.update(user)
     cfg["schema"] = f"crl-lab/{command}/v1"
     return cfg
@@ -154,13 +236,13 @@ class RunContext:
         return p
 
     def write_csv(self, name: str, header, rows):
+        """Write a CSV; a cell holding a comma or quote is quoted."""
         p = self.path(name)
-        with open(p, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                cells = [_FLOAT_FMT.format(c) if isinstance(c, float) else str(c)
-                         for c in row]
-                fh.write(",".join(cells) + "\n")
+        with open(p, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_FLOAT_FMT.format(c) if isinstance(c, float) else str(c)
+                              for c in row] for row in rows)
         return p
 
     def write_json(self, name: str, obj):

@@ -3,9 +3,11 @@
 The flow is a stack of affine coupling layers (tanh conditioner MLPs, scale
 squashed through a bounded tanh), fixed permutations, an element-wise affine
 layer and an optional sigmoid head.  Likelihood gradients are hand-written
-reverse-mode for this fixed layer algebra; the IMA-regularizer gradient uses
-central finite differences over the parameter vector, evaluated for all
-perturbations in one vectorized pass.
+reverse-mode for this fixed layer algebra.  The IMA regularizer depends on
+the encoder Jacobian, which a forward-mode recursion carries through the
+layers; its exact gradient is the reverse sweep of that recursion
+(:func:`cima_value_and_grad`).  :func:`cima_fd_grad` keeps the central
+finite-difference gradient as an independent reference.
 
 Everything is plain numpy; training is deterministic given the config seed.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import local_ima_from_jacobian
+from .contrast import RESOLUTION, local_ima_from_jacobian
 from .errors import DomainError
 from .rng import spawn
 
@@ -95,40 +97,63 @@ class CondMlp:
             dh = da @ W
         return dh, dtheta
 
-    @staticmethod
-    def _apply_q(h, W, b):
-        # (Q,m,i) x (Q,o,i) -> (Q,m,o); broadcast-reduce beats batched GEMM
-        # at these tiny sizes
-        return (h[:, :, None, :] * W[:, None, :, :]).sum(-1) + b[:, None, :]
+    def value_and_input_jacobian(self, x, theta, want_cache=False):
+        """Output values (..., m, out) and d out / d in (..., m, out, in).
 
-    def forward_q(self, x, theta):
-        """x: (Q, m, in), theta: (Q, P) -> (Q, m, out)."""
+        x: (..., m, in); theta: (..., P).  A leading axis stacks parameter
+        vectors; the cache (unstacked use only) feeds
+        :meth:`input_jacobian_backward`.
+        """
         layers = self.unpack(theta)
-        h = x
+        hs, JAs, Jhs = [x], [], [None]
+        h, Jh = x, None
         for l, (W, b) in enumerate(layers):
-            a = self._apply_q(h, W, b)
-            h = np.tanh(a) if l < len(layers) - 1 else a
-        return h
-
-    def value_and_input_jacobian_q(self, x, theta):
-        """Returns output values (Q, m, out) and d out / d in (Q, m, out, in)."""
-        layers = self.unpack(theta)
-        h = x
-        J = None
-        for l, (W, b) in enumerate(layers):
-            a = self._apply_q(h, W, b)
-            if J is None:
-                J = np.broadcast_to(W[:, None, :, :], (W.shape[0], x.shape[1],
-                                                       W.shape[1], W.shape[2]))
-            else:
-                # J[q,m,o,i] = sum_h W[q,o,h] J[q,m,h,i]
-                J = (W[:, None, :, :, None] * J[:, :, None, :, :]).sum(-2)
+            a = h @ W.swapaxes(-1, -2) + b[..., None, :]
+            # at the input layer Jh = I, so JA = W (broadcast over rows)
+            JA = W[..., None, :, :] if Jh is None else W[..., None, :, :] @ Jh
             if l < len(layers) - 1:
                 h = np.tanh(a)
-                J = (1.0 - h * h)[..., None] * J
+                Jh = (1.0 - h * h)[..., None] * JA
             else:
-                h = a
-        return h, J
+                h, Jh = a, JA
+            hs.append(h)
+            JAs.append(JA)
+            Jhs.append(Jh)
+        cache = (hs, JAs, Jhs, layers) if want_cache else None
+        return h, Jh, cache
+
+    def input_jacobian_backward(self, cache, dout, dJ):
+        """Reverse step of :meth:`value_and_input_jacobian` for one parameter
+        vector: given dL/d out (m, out) and dL/d Jacobian (m, out, in),
+        returns dL/d in (m, in) and dL/d theta (P,)."""
+        hs, JAs, Jhs, layers = cache
+        dtheta = np.empty(self.n_params)
+        off = self.n_params
+        dh = dout
+        for l in reversed(range(len(layers))):
+            W, _ = layers[l]
+            if l == len(layers) - 1:
+                da, dJA = dh, dJ
+            else:
+                # h = tanh(a) and Jh = (1 - h^2) JA; d(1 - h^2)/da is
+                # tanh'' = -2 tanh (1 - tanh^2)
+                h = hs[l + 1]
+                q = 1.0 - h * h
+                dq = (dJ * JAs[l]).sum(axis=-1)
+                da = q * (dh - 2.0 * h * dq)
+                dJA = q[..., None] * dJ
+            o, i = W.shape
+            # JA = W @ Jh, with Jh = I at the input layer
+            dW = da.T @ hs[l] + (dJA.sum(axis=0) if l == 0 else
+                                 np.einsum("moi,mhi->oh", dJA, Jhs[l]))
+            off -= o
+            dtheta[off:off + o] = da.sum(axis=0)
+            off -= o * i
+            dtheta[off:off + o * i] = dW.ravel()
+            dh = da @ W
+            if l:
+                dJ = W.T @ dJA
+        return dh, dtheta
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +217,57 @@ class CouplingLayer:
         v[:, self.chg_idx] = u[:, self.chg_idx] * np.exp(s) + t
         return v
 
-    def enc_q(self, v, theta, J):
-        out, Jmlp = self.mlp.value_and_input_jacobian_q(v[..., self.keep_idx], theta)
-        raw, t = out[..., :self.k_chg], out[..., self.k_chg:]
+    def enc_q(self, v, theta, J, want_cache=False):
+        """Encoder values and the running Jacobian J = d v / d x pushed
+        through this layer; leading axes of v, theta and J stack parameter
+        vectors."""
+        k = self.k_chg
+        out, Jmlp, mcache = self.mlp.value_and_input_jacobian(
+            v[..., self.keep_idx], theta, want_cache)
+        raw, t = out[..., :k], out[..., k:]
         tr = np.tanh(raw)
         s = self.s_max * tr
         ens = np.exp(-s)
         u = v.copy()
         u_chg = (v[..., self.chg_idx] - t) * ens
         u[..., self.chg_idx] = u_chg
-        Js = (self.s_max * (1.0 - tr * tr))[..., None] * Jmlp[:, :, :self.k_chg, :]
-        Jt = Jmlp[:, :, self.k_chg:, :]
-        M = -ens[..., None] * Jt - u_chg[..., None] * Js
+        ds_draw = self.s_max * (1.0 - tr * tr)
+        Jraw, Jt = Jmlp[..., :k, :], Jmlp[..., k:, :]
+        M = -ens[..., None] * Jt - (u_chg * ds_draw)[..., None] * Jraw
+        J_keep, J_chg = J[..., self.keep_idx, :], J[..., self.chg_idx, :]
         Jnew = J.copy()
-        Jnew[..., self.chg_idx, :] = (
-            ens[..., None] * J[..., self.chg_idx, :]
-            + M @ J[..., self.keep_idx, :]
-        )
-        return u, Jnew
+        Jnew[..., self.chg_idx, :] = ens[..., None] * J_chg + M @ J_keep
+        cache = ((mcache, tr, ds_draw, ens, u_chg, Jmlp, M, J_keep, J_chg)
+                 if want_cache else None)
+        return u, Jnew, cache
+
+    def enc_q_backward(self, cache, du, dJ):
+        """Reverse step of :meth:`enc_q` for one parameter vector: returns
+        (dL/dv, dL/dJ_in, dL/dtheta) from dL/du and dL/dJ_out."""
+        mcache, tr, ds_draw, ens, u_chg, Jmlp, M, J_keep, J_chg = cache
+        k = self.k_chg
+        dJ_chg = dJ[:, self.chg_idx, :]
+        # M = -ens Jt - u_chg s' Jraw with s' = ds/draw = s_max (1 - tr^2)
+        dM = dJ_chg @ J_keep.swapaxes(-1, -2)
+        p = (Jmlp.reshape(-1, 2, k, Jmlp.shape[-1]) * dM[:, None]).sum(axis=-1)
+        p_raw, p_t = p[:, 0], p[:, 1]
+        du_chg = du[:, self.chg_idx] - ds_draw * p_raw
+        dens = (dJ_chg * J_chg).sum(axis=-1) - p_t
+        ds = -du_chg * u_chg - ens * dens
+        # ds'/draw = -2 s_max tr (1 - tr^2): the tanh'' term of the scale
+        draw = (1.0 - tr * tr) * self.s_max * (ds + 2.0 * tr * u_chg * p_raw)
+        dout = np.concatenate([draw, -du_chg * ens], axis=1)
+        coef = np.concatenate([u_chg * ds_draw, ens], axis=1)
+        dJmlp = -coef[..., None] * np.concatenate([dM, dM], axis=1)
+        dh, dtheta = self.mlp.input_jacobian_backward(mcache, dout, dJmlp)
+        dv = np.empty_like(du)
+        dv[:, self.chg_idx] = du_chg * ens
+        dv[:, self.keep_idx] = du[:, self.keep_idx] + dh
+        dJ_in = np.empty_like(dJ)
+        dJ_in[:, self.chg_idx, :] = ens[..., None] * dJ_chg
+        dJ_in[:, self.keep_idx, :] = (dJ[:, self.keep_idx, :]
+                                      + M.swapaxes(-1, -2) @ dJ_chg)
+        return dv, dJ_in, dtheta
 
     def descriptor(self):
         return {"layer": "coupling", "n": self.n,
@@ -241,8 +299,11 @@ class PermLayer:
     def dec(self, u, theta):
         return u[:, self.perm]
 
-    def enc_q(self, v, theta, J):
-        return v[..., self.inv], J[..., self.inv, :]
+    def enc_q(self, v, theta, J, want_cache=False):
+        return v[..., self.inv], J[..., self.inv, :], None
+
+    def enc_q_backward(self, cache, du, dJ):
+        return du[:, self.perm], dJ[:, self.perm, :], np.empty(0)
 
     def descriptor(self):
         return {"layer": "permutation", "perm": list(self.perm)}
@@ -277,12 +338,19 @@ class AffineLayer:
         la, b = theta[:self.n], theta[self.n:]
         return u * np.exp(la) + b
 
-    def enc_q(self, v, theta, J):
-        la = theta[..., :self.n]
-        b = theta[..., self.n:]
+    def enc_q(self, v, theta, J, want_cache=False):
+        la = theta[..., None, :self.n]
+        b = theta[..., None, self.n:]
         ena = np.exp(-la)
-        u = (v - b[:, None, :]) * ena[:, None, :]
-        return u, ena[:, None, :, None] * J
+        u = (v - b) * ena
+        Jnew = ena[..., None] * J
+        return u, Jnew, (ena, u, Jnew) if want_cache else None
+
+    def enc_q_backward(self, cache, du, dJ):
+        ena, u, Jnew = cache
+        dv = du * ena
+        dla = -(du * u).sum(axis=0) - (dJ * Jnew).sum(axis=(0, 2))
+        return dv, ena[..., None] * dJ, np.concatenate([dla, -dv.sum(axis=0)])
 
     def descriptor(self):
         return {"layer": "affine", "n": self.n}
@@ -315,10 +383,17 @@ class SigmoidLayer:
     def dec(self, u, theta):
         return 1.0 / (1.0 + np.exp(-u))
 
-    def enc_q(self, v, theta, J):
+    def enc_q(self, v, theta, J, want_cache=False):
         g = v * (1.0 - v)
         u = np.log(v) - np.log1p(-v)
-        return u, J / g[..., None]
+        Jnew = J / g[..., None]
+        return u, Jnew, (v, g, Jnew) if want_cache else None
+
+    def enc_q_backward(self, cache, du, dJ):
+        v, g, Jnew = cache
+        # each row of J is divided by g = v (1 - v), and g' = 1 - 2v
+        dv = (du - (1.0 - 2.0 * v) * (dJ * Jnew).sum(axis=-1)) / g
+        return dv, dJ / g[..., None], np.empty(0)
 
     def descriptor(self):
         return {"layer": "sigmoid", "n": self.n}
@@ -413,7 +488,7 @@ class FlowModel:
         cur = np.broadcast_to(x, (Q, m, self.n)).copy()
         J = np.broadcast_to(np.eye(self.n), (Q, m, self.n, self.n)).copy()
         for i in reversed(range(len(self.layers))):
-            cur, J = self.layers[i].enc_q(cur, self._slice(theta_stack, i), J)
+            cur, J, _ = self.layers[i].enc_q(cur, self._slice(theta_stack, i), J)
         return cur, J
 
     def encode_jacobian(self, x, theta=None):
@@ -605,6 +680,40 @@ def _split(n_rows, val_fraction, seed):
 # ---------------------------------------------------------------------------
 
 
+def _decoder_contrast(J_enc, want_grad=False):
+    """Local IMA contrast of g^(-1) per row from encoder Jacobians (..., n, n),
+    and with ``want_grad`` its gradient over J_enc (zero where clamped)."""
+    grad = None
+    if J_enc.shape[-1] == 2:
+        # column norms of a 2x2 inverse are the row norms over |det|, so the
+        # contrast of the inverse needs no inversion at all
+        a, b = J_enc[..., 0, 0], J_enc[..., 0, 1]
+        c, d = J_enc[..., 1, 0], J_enc[..., 1, 1]
+        det = a * d - b * c
+        r0, r1 = a * a + b * b, c * c + d * d
+        raw = 0.5 * np.log(r0) + 0.5 * np.log(r1) - np.log(np.abs(det))
+        if want_grad:
+            # d log|det| / dJ = J^(-T) = [[d, -c], [-b, a]] / det
+            grad = np.stack([a / r0 - d / det, b / r0 + c / det,
+                             c / r1 + b / det, d / r1 - a / det],
+                            axis=-1).reshape(J_enc.shape)
+    else:
+        A = np.linalg.inv(J_enc)
+        raw = local_ima_from_jacobian(A, clamp=False)
+        if want_grad:
+            # f(A) = sum_j log ||A[:, j]|| - log|det A| has
+            # df/dA = A / ||A[:, j]||^2 - A^(-T), and dA = -A dJ A turns it
+            # into df/dJ = -A^T (df/dA) A^T
+            At = A.swapaxes(-1, -2)
+            G = A / (A * A).sum(axis=-2, keepdims=True) - J_enc.swapaxes(-1, -2)
+            grad = -(At @ G @ At)
+    clamped = raw < RESOLUTION
+    vals = np.where(clamped, 0.0, raw)
+    if grad is not None:
+        grad = np.where(clamped[..., None, None], 0.0, grad)
+    return vals, grad
+
+
 def cima_of_decoder(flow: FlowModel, theta_stack, x_probe):
     """Mean local IMA contrast of g^(-1) at the probe points' images.
 
@@ -612,24 +721,37 @@ def cima_of_decoder(flow: FlowModel, theta_stack, x_probe):
     Returns one mean per stacked parameter vector.
     """
     _, J_enc = flow.encode_jacobian_q(x_probe, theta_stack)
-    if flow.n == 2:
-        # column norms of a 2x2 inverse are the row norms over |det|, so the
-        # contrast of the inverse needs no inversion at all
-        a, b = J_enc[..., 0, 0], J_enc[..., 0, 1]
-        c, d = J_enc[..., 1, 0], J_enc[..., 1, 1]
-        logdet = np.log(np.abs(a * d - b * c))
-        raw = (0.5 * np.log(a * a + b * b) + 0.5 * np.log(c * c + d * d)
-               - logdet)
-        vals = np.where(raw < 1e-12, 0.0, raw)
-    else:
-        vals = local_ima_from_jacobian(np.linalg.inv(J_enc))
-    return vals.mean(axis=-1)
+    return _decoder_contrast(J_enc)[0].mean(axis=-1)
+
+
+def cima_value_and_grad(flow: FlowModel, theta, x_probe):
+    """Mean IMA penalty of the decoder and its exact gradient over theta.
+
+    One forward sweep of the encoder Jacobian recursion keeps every layer's
+    cache; the adjoint sweep then carries dL/dv and dL/dJ back through the
+    layers (reverse mode over a forward-mode recursion).
+    """
+    m, n = x_probe.shape
+    cur = x_probe
+    J = np.broadcast_to(np.eye(n), (m, n, n))
+    caches = [None] * len(flow.layers)
+    for i in reversed(range(len(flow.layers))):
+        cur, J, caches[i] = flow.layers[i].enc_q(cur, flow._slice(theta, i), J,
+                                                 want_cache=True)
+    vals, dJ = _decoder_contrast(J, want_grad=True)
+    dJ = dJ / m
+    du = np.zeros_like(cur)
+    parts = [None] * len(flow.layers)
+    for i in range(len(flow.layers)):
+        du, dJ, parts[i] = flow.layers[i].enc_q_backward(caches[i], du, dJ)
+    return float(vals.mean()), np.concatenate(parts)
 
 
 def cima_fd_grad(flow: FlowModel, theta, x_probe, h_rel=1e-4, q_chunk=64):
-    """Central-difference gradient of the IMA penalty over all parameters.
+    """Central-difference gradient of the IMA penalty over all parameters:
+    the independent reference for :func:`cima_value_and_grad`.
 
-    All 2P perturbed evaluations run through the vectorized Jacobian
+    All 2P perturbed evaluations run through the stacked Jacobian
     propagation, chunked to keep the working set cache-friendly.
     """
     P = theta.size
@@ -698,8 +820,8 @@ def train_mle(flow: FlowModel, data, cfg: TrainConfig, base=None) -> TrainResult
             nll, grad = _nll_and_grad(flow, theta, xb, base)
             if lam > 0:
                 probe = xb[: min(cfg.ima_probe, xb.shape[0])]
-                pen = float(cima_of_decoder(flow, theta[None, :], probe)[0])
-                grad = grad + lam * cima_fd_grad(flow, theta, probe)
+                pen, pen_grad = cima_value_and_grad(flow, theta, probe)
+                grad = grad + lam * pen_grad
                 nll += lam * pen
             if not np.isfinite(nll) or not np.all(np.isfinite(grad)):
                 diverged = True

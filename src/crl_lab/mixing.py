@@ -465,4 +465,9 @@ def mixing_from_dict(d: dict) -> MixingMap:
                        d.get("scale", 1.0), d.get("invert", True))
     if variant == "invertible-mlp":
         return InvertibleMlp(d["weights"], d["biases"], d.get("slope", 0.2))
+    if variant == "mpa":
+        # spurious builds on this module, so import it only when needed
+        from .spurious import MpaMap, marginal_from_dict
+        return MpaMap(d["rotation"], [marginal_from_dict(m) for m in d["marginals"]],
+                      d.get("clamp_eps", 1e-12))
     raise ValueError(f"unknown mixing variant {variant!r}")

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -81,6 +82,26 @@ class TestConfigs:
         assert resolved["n_mc"] == 100_000
         assert resolved["seed"] == 3
         assert resolved["schema"] == "crl-lab/ima-eval/v1"
+
+    @pytest.mark.parametrize("command,config,key", [
+        ("ima-eval", {"n_mc": "abc"}, "n_mc"),
+        ("ima-eval", {"n_mc": 0}, "n_mc"),
+        ("ima-train", {"n_seeds": -1}, "n_seeds"),
+        ("ima-sweep", {"thetas": []}, "thetas"),
+        ("mss", {"n": 5}, "n"),
+        ("ima-train", {"lambdas": [0.0, -1.0]}, "lambdas"),
+        ("ima-train", {"epochs": 0}, "epochs"),
+        ("ima-train", {"batch_size": 1}, "batch_size"),
+        ("multiview", {"statistical": 1}, "statistical"),
+    ])
+    def test_invalid_value_exits_1_with_message(self, tmp_path, capsys,
+                                                command, config, key):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert cli.run([command, "--config", str(p), "--out", str(out)]) == 1
+        assert f"{key} = " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCommands:
@@ -185,3 +206,18 @@ class TestCommands:
         assert cli.run(["ima-eval", "--out", str(out2), "--threads", "2"]) == 0
         manifest2 = json.loads((out2 / "manifest.json").read_text())
         assert manifest2["threads"] == 2
+
+    def test_crl_sweep_csv_has_one_cell_per_column(self, tmp_path):
+        # candidate ids such as g[0>1]|t[e1:0,e2:1] hold a comma
+        cfg = tmp_path / "crl.json"
+        cfg.write_text(json.dumps({"n_seeds": 1, "rows_per_env": 200,
+                                   "epochs": 1, "n_couplings": 1,
+                                   "hidden": [4]}))
+        out = tmp_path / "crl"
+        assert cli.run(["crl-sweep", "--config", str(cfg),
+                        "--out", str(out)]) == 0
+        with open(out / "crl_sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1
+        assert all(len(r) == 6 for r in rows)
+        assert any("," in r[1] for r in rows[1:])

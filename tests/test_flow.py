@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crl_lab import flow, mixing
+from crl_lab import contrast, flow, mixing
 from crl_lab.errors import DomainError
 from crl_lab.rng import spawn
 
@@ -117,6 +117,77 @@ class TestGradients:
             zm, _, _ = fl.encode(x - e)
             np.testing.assert_allclose(J[:, :, j], (zp - zm) / 2e-6,
                                        atol=1e-7)
+
+
+def _ima_flow(case):
+    """(flow with jittered parameters, probe rows) for each layer mix."""
+    rng = spawn(30, "ima-probe")
+    if case == "n2":
+        fl = flow.default_bss_flow(2, n_couplings=3, hidden=(8,))
+        x = rng.standard_normal((16, 2))
+    elif case == "n3":
+        # a non-contiguous keep mask, and conditioners with no and with two
+        # hidden layers
+        fl = flow.FlowModel([flow.CouplingLayer(3, [True, False, False], ()),
+                             flow.PermLayer((2, 0, 1)),
+                             flow.CouplingLayer(3, [True, False, True], (6, 5)),
+                             flow.AffineLayer(3)])
+        x = rng.standard_normal((16, 3))
+    elif case == "sigmoid-head":  # every layer kind
+        fl = flow.default_bss_flow(2, n_couplings=2, hidden=(8,),
+                                   sigmoid_head=True)
+        x = rng.uniform(0.05, 0.95, (16, 2))
+    else:  # a sigmoid layer inside the stack, so its dL/dv is used
+        fl = flow.FlowModel([flow.CouplingLayer(2, [True, False], (8,)),
+                             flow.SigmoidLayer(2), flow.AffineLayer(2)])
+        x = rng.uniform(0.3, 0.7, (16, 2))
+    fl.init_params(31)
+    fl.theta = fl.theta + 0.3 * spawn(31, "jitter").standard_normal(fl.n_params)
+    if case == "sigmoid-inner":
+        # keep the affine layer's output inside the sigmoid's domain
+        fl.theta[-4:] = [0.1, -0.1, 0.05, -0.05]
+    return fl, x
+
+
+def _central_difference(fn, theta, h=1e-6):
+    out = np.empty_like(theta)
+    for i in range(theta.size):
+        e = np.zeros_like(theta)
+        e[i] = h
+        out[i] = (fn(theta + e) - fn(theta - e)) / (2 * h)
+    return out
+
+
+class TestImaPenaltyGradient:
+    @pytest.mark.parametrize("case", ["n2", "n3", "sigmoid-head",
+                                      "sigmoid-inner"])
+    def test_exact_gradient_matches_finite_differences(self, case):
+        fl, x = _ima_flow(case)
+        theta = fl.theta
+        raw = contrast.local_ima_from_jacobian(
+            np.linalg.inv(fl.encode_jacobian(x, theta)), clamp=False)
+        assert np.all(raw > 1e-12)  # away from the clamp
+        value, grad = flow.cima_value_and_grad(fl, theta, x)
+        assert value == pytest.approx(
+            flow.cima_of_decoder(fl, theta[None], x)[0], abs=1e-12)
+
+        def rel(ref):
+            return np.max(np.abs(grad - ref)) / np.max(np.abs(ref))
+
+        assert rel(flow.cima_fd_grad(fl, theta, x, h_rel=1e-6)) <= 1e-5
+        plain = _central_difference(
+            lambda th: flow.cima_of_decoder(fl, th[None], x)[0], theta)
+        assert rel(plain) <= 1e-5
+
+    def test_clamped_contrast_has_zero_gradient(self):
+        # fresh couplings are the identity, so every Jacobian is diagonal and
+        # the contrast sits at its clamped zero
+        fl = flow.default_bss_flow(2, n_couplings=2, hidden=(8,))
+        fl.init_params(32)
+        x = spawn(32, "x").standard_normal((8, 2))
+        value, grad = flow.cima_value_and_grad(fl, fl.theta, x)
+        assert value == 0.0
+        assert not np.any(grad)
 
 
 class TestLogDensity:

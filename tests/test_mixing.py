@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crl_lab import mixing
+from crl_lab import mixing, spurious
 from crl_lab.errors import DomainError
 from crl_lab.rng import spawn
 
@@ -193,3 +193,43 @@ class TestSerialization:
         rng = spawn(9, "probe")
         s = rng.uniform(0.1, 0.9, (20, m.n))
         np.testing.assert_array_equal(m.forward(s), clone.forward(s))
+
+    @given(st.sampled_from(["polar", "elementwise", "permutation", "moebius",
+                            "invertible-mlp", "mpa", "inverted", "composition"]),
+           st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_from_dict_reproduces_every_variant(self, variant, seed):
+        m = _random_variant(variant, seed)
+        clone = mixing.mixing_from_dict(m.to_dict())
+        s = spawn(seed, "probe").uniform(0.1, 0.9, (12, m.n))
+        x = m.forward(s)
+        np.testing.assert_array_equal(clone.forward(s), x)
+        np.testing.assert_array_equal(clone.inverse(x), m.inverse(x))
+        np.testing.assert_array_equal(clone.jacobian(s), m.jacobian(s))
+
+
+def _random_variant(variant, seed):
+    """A two-dimensional map of the given variant with seeded parameters."""
+    rng = spawn(seed, "variant")
+    if variant == "polar":
+        return mixing.PolarToCartesian()
+    if variant == "elementwise":
+        kinds = [("identity",), ("cubic",), ("sinh",),
+                 ("affine", float(rng.uniform(0.5, 2.0)), float(rng.normal()))]
+        return mixing.Elementwise([kinds[i] for i in rng.integers(0, 4, 2)])
+    if variant == "permutation":
+        return mixing.Permutation(rng.permutation(2))
+    if variant == "moebius":
+        return mixing.random_moebius(2, seed)
+    if variant == "invertible-mlp":
+        return mixing.random_invertible_mlp(2, int(rng.integers(1, 4)), seed,
+                                            bias_scale=0.5)
+    if variant == "inverted":
+        return mixing.Inverted(mixing.random_moebius(2, seed))
+    mpa = spurious.MpaMap(
+        mixing.rotation_2d(rng.uniform(0, 2 * np.pi)),
+        [spurious.UniformMarginal(0, 1),
+         spurious.EmpiricalMarginal(rng.uniform(0, 1, 200))])
+    if variant == "mpa":
+        return mpa
+    return mixing.Composition([mpa, mixing.random_moebius(2, seed)])
