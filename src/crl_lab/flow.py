@@ -641,6 +641,10 @@ class TrainConfig:
             raise ValueError("ima_weight (lambda) must be >= 0")
         if self.temperature <= 0:
             raise ValueError("temperature (tau) must be > 0")
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
     def to_dict(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -4,6 +4,11 @@ For a candidate DAG, the hard score counts, over all environment pairs and
 nodes, how many conditionals in the candidate factorization change; the true
 graph minimizes it (not necessarily uniquely).  Environments are always
 compared pairwise, never pooled.
+
+The score decomposes over (environment pair, node, parent set): a local
+p-value depends on a DAG only through one node's parent set.  ``mss_discover``
+therefore computes each local test once per discovery and shares it across
+every candidate DAG (at n=4 with 6 environments, 480 tests for 543 DAGs).
 """
 
 from __future__ import annotations
@@ -118,23 +123,36 @@ def pair_invariance_pvalue(test: CiInvarianceTest, data: MultiEnvDataset,
 
 
 def mss_score(dag: Dag, data: MultiEnvDataset, test: CiInvarianceTest,
-              soft_kind: str = "one-minus-p"):
-    """Hard and soft mechanism shift scores of one candidate DAG."""
+              soft_kind: str = "one-minus-p", cache: dict | None = None):
+    """Hard and soft mechanism shift scores of one candidate DAG.
+
+    ``cache`` maps ``(e_a, e_b, node, parents)`` to the local p-value and is
+    filled on a miss; it is valid for one ``(data, test)`` pair only.  With
+    ``cache=None`` every local test of this DAG is computed afresh.
+    """
+    if soft_kind not in ("one-minus-p", "neglogp"):
+        raise ValueError("soft_kind must be 'one-minus-p' or 'neglogp'")
+    if cache is None:
+        cache = {}
     n_env = len(data.envs)
     hard = 0
     soft = 0.0
     for e_a in range(n_env):
         for e_b in range(e_a + 1, n_env):
             for node in range(dag.n):
-                p = pair_invariance_pvalue(test, data, e_a, e_b, node,
-                                           dag.parents[node])
+                parents = dag.parents[node]
+                key = (e_a, e_b, node, parents)
+                p = cache.get(key)
+                if p is None:
+                    # positional call through the module name: tracing
+                    # wrappers rebind it and read the six arguments
+                    p = cache[key] = pair_invariance_pvalue(
+                        test, data, e_a, e_b, node, parents)
                 hard += int(p < test.alpha)
                 if soft_kind == "one-minus-p":
                     soft += 1.0 - p
-                elif soft_kind == "neglogp":
-                    soft += -float(np.log(max(p, 1e-300)))
                 else:
-                    raise ValueError("soft_kind must be 'one-minus-p' or 'neglogp'")
+                    soft += -float(np.log(max(p, 1e-300)))
     return hard, soft
 
 
@@ -159,9 +177,10 @@ def mss_discover(data: MultiEnvDataset, test: CiInvarianceTest, n: int,
     if n != data.d:
         raise ValueError("n must match the observed dimension (identity mixing)")
     dags = enumerate_dags(n)
+    cache = {}
     hard, soft = [], []
     for dag in dags:
-        h, s = mss_score(dag, data, test, soft_kind)
+        h, s = mss_score(dag, data, test, soft_kind, cache)
         hard.append(h)
         soft.append(s)
     order = sorted(range(len(dags)), key=lambda i: (hard[i], soft[i]))

@@ -43,7 +43,7 @@ class TestInvertibility:
         x = spawn(4, "x").standard_normal((50, 2))
         _, ld, _ = fl.encode(x)
         sign, ld_j = np.linalg.slogdet(fl.encode_jacobian(x))
-        assert np.all(sign > 0) or np.all(sign < 0) or True
+        assert np.all(sign > 0) or np.all(sign < 0)
         np.testing.assert_allclose(ld, ld_j, atol=1e-10)
 
 
@@ -272,6 +272,10 @@ class TestTraining:
             flow.TrainConfig(ima_weight=-1.0)
         with pytest.raises(ValueError):
             flow.TrainConfig(temperature=0.0)
+        with pytest.raises(ValueError):
+            flow.TrainConfig(batch_size=1)
+        with pytest.raises(ValueError):
+            flow.TrainConfig(epochs=0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

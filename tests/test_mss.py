@@ -25,6 +25,19 @@ class TestMssScore:
             hard, soft = mss.mss_score(dag, solo, mss.CiInvarianceTest("oracle"))
             assert hard == 0 and soft == 0.0
 
+    def test_bogus_soft_kind_rejected_before_any_test(self, monkeypatch):
+        data = two_env_marginal_shift()
+        solo = scm.MultiEnvDataset((data.envs[0],), 0, data.meta)
+        calls = []
+        monkeypatch.setattr(mss, "pair_invariance_pvalue",
+                            lambda *args: calls.append(args))
+        dag = scm.Dag(2, ((), (0,)))
+        for d in (solo, data):
+            with pytest.raises(ValueError):
+                mss.mss_score(dag, d, mss.CiInvarianceTest("oracle"),
+                              soft_kind="bogus")
+        assert calls == []
+
     def test_identical_environments_score_zero(self):
         data = two_env_marginal_shift()
         dup = scm.MultiEnvDataset((data.envs[0], data.envs[0]), 0, data.meta)
@@ -114,6 +127,46 @@ class TestMssDiscover:
             h_true = [h for d, h in zip(res.dags, res.hard)
                       if d.parents == truth][0]
             assert h_true == min(res.hard)
+
+    @pytest.mark.parametrize("n, n_envs, rows, seeds, kinds", [
+        (3, 3, 300, range(10), ("linear-gaussian", "oracle")),
+        (4, 2, 200, range(2), ("linear-gaussian",)),
+    ], ids=["n3", "n4"])
+    def test_shared_cache_matches_uncached_scores(self, n, n_envs, rows, seeds,
+                                                  kinds):
+        for seed in seeds:
+            data = mss.generate_mss_problem(n, n_envs, rows, seed=seed)
+            for kind in kinds:
+                test = mss.CiInvarianceTest(kind)
+                for soft_kind in ("one-minus-p", "neglogp"):
+                    res = mss.mss_discover(data, test, n, soft_kind)
+                    scores = [mss.mss_score(d, data, test, soft_kind)
+                              for d in scm.enumerate_dags(n)]
+                    hard = tuple(h for h, _ in scores)
+                    soft = tuple(s for _, s in scores)
+                    ranking = tuple(sorted(range(len(scores)),
+                                           key=lambda i: (hard[i], soft[i])))
+                    assert res.hard == hard
+                    assert res.soft == soft
+                    assert res.ranking == ranking
+                    assert res.minimizers == tuple(
+                        i for i in ranking if hard[i] == min(hard))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_each_local_test_computed_once(self, n, monkeypatch):
+        data = mss.generate_mss_problem(n, 6, 300, seed=n)
+        real = mss.pair_invariance_pvalue
+        keys = []
+
+        def counting(*args, **kwargs):
+            assert not kwargs and len(args) == 6
+            _, _, e_a, e_b, node, parents = args
+            keys.append((e_a, e_b, node, tuple(parents)))
+            return real(*args)
+
+        monkeypatch.setattr(mss, "pair_invariance_pvalue", counting)
+        mss.mss_discover(data, mss.CiInvarianceTest("oracle"), n)
+        assert len(keys) == len(set(keys)) == 15 * n * 2 ** (n - 1)
 
     def test_capacity_guard(self):
         data = two_env_marginal_shift()
