@@ -154,61 +154,6 @@ def content_experiment(proc: MultiViewProcess,
                         r2_per_block=r2, config=resolved)
 
 
-def save_pair_dataset(pairs: PairData, prefix):
-    """Two aligned observation CSVs plus a latent sidecar CSV.
-
-    Files: <prefix>.x.csv, <prefix>.x_tilde.csv (columns x_0..), and
-    <prefix>.latents.csv holding z, z_tilde and the changed-coordinate mask.
-    """
-    from pathlib import Path
-
-    prefix = Path(prefix)
-    fmt = "{:.16e}"
-
-    def dump(path, header, rows):
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(fmt.format(v) if isinstance(v, float)
-                                  else str(v) for v in row) + "\n")
-
-    d = pairs.x.shape[1]
-    n = pairs.z.shape[1]
-    n_s = pairs.changed.shape[1]
-    dump(prefix.with_suffix(".x.csv"), [f"x_{j}" for j in range(d)],
-         pairs.x.tolist())
-    dump(prefix.with_suffix(".x_tilde.csv"), [f"x_{j}" for j in range(d)],
-         pairs.x_tilde.tolist())
-    header = ([f"z_{j}" for j in range(n)] + [f"zt_{j}" for j in range(n)]
-              + [f"chg_{j}" for j in range(n_s)])
-    rows = np.concatenate([pairs.z, pairs.z_tilde,
-                           pairs.changed.astype(float)], axis=1).tolist()
-    dump(prefix.with_suffix(".latents.csv"), header, rows)
-    return [prefix.with_suffix(".x.csv"), prefix.with_suffix(".x_tilde.csv"),
-            prefix.with_suffix(".latents.csv")]
-
-
-def load_pair_dataset(prefix) -> PairData:
-    from pathlib import Path
-
-    prefix = Path(prefix)
-
-    def read(path):
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            rows = np.array([[float(c) for c in line.strip().split(",")]
-                             for line in fh if line.strip()])
-        return header, rows
-
-    _, x = read(prefix.with_suffix(".x.csv"))
-    _, x_t = read(prefix.with_suffix(".x_tilde.csv"))
-    header, lat = read(prefix.with_suffix(".latents.csv"))
-    n = sum(1 for h in header if h.startswith("z_"))
-    n_s = sum(1 for h in header if h.startswith("chg_"))
-    return PairData(x, x_t, lat[:, :n], lat[:, n:2 * n],
-                    lat[:, 2 * n:2 * n + n_s].astype(bool))
-
-
 def default_process(n_c=3, n_s=3, statistical=False, causal=False,
                     change_prob=1.0, seed=0, mixing=None) -> MultiViewProcess:
     """The numerical-experiment family: optional within-block correlation

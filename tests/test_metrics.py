@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,87 @@ class TestKrr:
     def test_sample_size_guard(self):
         with pytest.raises(SampleSizeError):
             metrics.krr_r2(np.zeros((100, 2)), np.zeros((100, 1)))
+
+    def test_non_finite_input_rejected(self):
+        x = spawn(15, "x").standard_normal((300, 2))
+        y = x[:, :1].copy()
+        x[5, 0] = np.nan
+        with pytest.raises(ValueError, match="features"):
+            metrics.krr_r2(x, y)
+        with pytest.raises(ValueError, match="block 'target'"):
+            metrics.krr_r2(y, x)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"ridge_grid": ()},
+        {"ridge_grid": (1e-3, 0.0)},
+        {"ridge_grid": (-1.0,)},
+        {"ridge_grid": (np.inf,)},
+        {"ridge_grid": (np.nan,)},
+        {"split_fraction": 0.0},
+        {"split_fraction": 1.0},
+        {"split_fraction": 1.5},
+        {"bandwidth_pairs": 1},
+    ])
+    def test_invalid_config(self, kwargs):
+        with pytest.raises(ValueError):
+            metrics.KrrConfig(**kwargs)
+
+    def test_peak_memory_within_two_training_kernels(self):
+        # the inner search holds the inner kernel and the copy a fit consumes
+        # (0.64 m_train^2 entries each) and the validation kernel (0.16):
+        # 1.44 x 8 m_train^2 bytes plus small temporaries
+        rng = spawn(11, "x")
+        x = rng.standard_normal((2500, 3))
+        y = np.tanh(x[:, :2])
+        m_train = int(round(metrics.KrrConfig().split_fraction * 2500))
+        tracemalloc.start()
+        try:
+            metrics.krr_r2(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * 8 * m_train ** 2
+
+
+class TestKrrSolve:
+    @staticmethod
+    def _broadcast_rbf(a, b, gamma):
+        d2 = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+              - 2.0 * a @ b.T)
+        return np.exp(-np.maximum(d2, 0.0) / (2.0 * gamma * gamma))
+
+    @pytest.mark.parametrize("na,nb", [(600, 600), (300, 700), (5, 3)])
+    def test_rbf_equals_broadcast_formula(self, na, nb):
+        rng = spawn(12, "x")
+        a = rng.standard_normal((na, 3))
+        b = a.copy() if na == nb else rng.standard_normal((nb, 3))
+        assert np.array_equal(metrics._rbf(a, b, 0.7),
+                              self._broadcast_rbf(a, b, 0.7))
+
+    @pytest.mark.parametrize("lam", metrics.KrrConfig().ridge_grid)
+    def test_fit_predict_matches_solve(self, lam):
+        rng = spawn(13, "x")
+        x = rng.standard_normal((500, 3))
+        x_te = rng.standard_normal((100, 3))
+        y = np.column_stack([np.sin(x[:, 0]), x[:, 1] * x[:, 2]])
+        K = self._broadcast_rbf(x, x, 1.0)
+        K_te = self._broadcast_rbf(x_te, x, 1.0)
+        expected = K_te @ np.linalg.solve(K + lam * np.eye(500), y)
+        got = metrics._fit_predict(K.copy(), K_te, y, lam)
+        np.testing.assert_allclose(got, expected, rtol=1e-8)
+
+    def test_ridge_floor_fallback(self):
+        # all-ones kernel: the second pivot is exactly zero, so both
+        # Cholesky and LU fail on it without the floor
+        m = 40
+        rng = spawn(14, "x")
+        K_te = rng.standard_normal((10, m))
+        y = rng.standard_normal((m, 2))
+        with pytest.warns(RuntimeWarning, match="ridge floor"):
+            got = metrics._fit_predict(np.ones((m, m)), K_te, y, 0.0)
+        floored = np.ones((m, m)) + 1e-6 * m * np.eye(m)
+        np.testing.assert_allclose(got, K_te @ np.linalg.solve(floored, y),
+                                   rtol=1e-8)
 
 
 class TestAmariIndex:
