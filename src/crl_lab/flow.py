@@ -9,7 +9,11 @@ layers; its exact gradient is the reverse sweep of that recursion
 (:func:`cima_value_and_grad`).  :func:`cima_fd_grad` keeps the central
 finite-difference gradient as an independent reference.
 
-Everything is plain numpy; training is deterministic given the config seed.
+Every trainer (:func:`train_mle`, :func:`train_align_invertible`,
+:func:`train_align_maxent` and ``multienv.fit_candidate``) supplies only its
+loss, gradient and validation objective to the one training loop,
+:func:`fit`.  Everything is plain numpy; training is deterministic given the
+config seed.
 """
 
 from __future__ import annotations
@@ -542,27 +546,6 @@ def init_whitening(flow: FlowModel, data):
     raise ValueError("flow has no affine layer to initialize")
 
 
-class FlowUnmix:
-    """Adapter exposing the encoder direction with the MixingMap interface."""
-
-    def __init__(self, flow: FlowModel):
-        self.flow = flow
-        self.n = flow.n
-
-    def forward(self, x):
-        z, _, _ = self.flow.encode(x)
-        return z[0] if np.asarray(x).ndim == 1 else z
-
-    def inverse(self, z):
-        x = self.flow.decode(z)
-        return x[0] if np.asarray(z).ndim == 1 else x
-
-    def jacobian(self, x):
-        arr = np.atleast_2d(np.asarray(x, dtype=float))
-        J = self.flow.encode_jacobian(arr)
-        return J[0] if np.asarray(x).ndim == 1 else J
-
-
 # ---------------------------------------------------------------------------
 # base densities
 # ---------------------------------------------------------------------------
@@ -576,18 +559,6 @@ class IidNormalBase:
 
     def grad(self, z):
         return -z
-
-
-class IidUniformBase:
-    """Uniform on (0,1)^n; pair with a sigmoid head."""
-
-    def logpdf(self, z):
-        if np.any((z <= 0) | (z >= 1)):
-            raise DomainError("uniform base needs latents in (0,1)")
-        return np.zeros(z.shape[0])
-
-    def grad(self, z):
-        return np.zeros_like(z)
 
 
 def flow_log_density(flow: FlowModel, base, x):
@@ -645,6 +616,16 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError("lr must be finite and >= 0")
+        if not 0 < self.val_fraction < 1:
+            raise ValueError("val_fraction must lie in (0, 1)")
+        if self.n_negatives < 2:
+            raise ValueError("n_negatives (K) must be >= 2")
+        if self.ima_probe < 1:
+            raise ValueError("ima_probe must be >= 1")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
 
     def to_dict(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -664,19 +645,64 @@ class TrainResult:
     diverged: bool = False
     collapsed: bool = False
 
-    def history_csv(self, path):
-        """Write the per-epoch objective history as epoch,train,val."""
-        with open(path, "w") as fh:
-            fh.write("epoch,train,val\n")
-            for row in self.history:
-                fh.write(f"{row['epoch']},{row['train']!r},{row['val']!r}\n")
-
 
 def _split(n_rows, val_fraction, seed):
     rng = spawn(seed, "split")
     perm = rng.permutation(n_rows)
     n_val = max(1, int(round(val_fraction * n_rows)))
     return perm[n_val:], perm[:n_val]
+
+
+def fit(theta, tr_idx, batch_size, loss_and_grad, val_fn, cfg: TrainConfig,
+        after_epoch=None) -> TrainResult:
+    """The training loop of every trainer: Adam with ``cfg.lr_at`` over
+    mini-batches of the shuffled training rows ``tr_idx``.
+
+    ``loss_and_grad(theta, rows)`` gives a batch's loss and gradient;
+    ``after_epoch(theta)`` runs after each epoch's steps.  Training stops on
+    the first non-finite loss or gradient (``diverged``), or once
+    ``val_fn(theta)`` has not decreased for more than ``cfg.patience``
+    epochs.  ``model`` is the parameter vector of the lowest validation
+    value; the history starts with the initial one at epoch -1.
+    """
+    opt = Adam(theta.size, cfg.lr, cfg.beta1, cfg.beta2)
+    best_theta = theta.copy()
+    best_val = val_fn(theta)
+    best_epoch = -1
+    history = [{"epoch": -1, "train": float("nan"), "val": best_val}]
+    diverged = False
+    since_best = 0
+    for epoch in range(cfg.epochs):
+        opt.lr = cfg.lr_at(epoch)
+        order = spawn(cfg.seed, "epoch", epoch).permutation(tr_idx.size)
+        losses = []
+        for a in range(0, tr_idx.size, batch_size):
+            sel = tr_idx[order[a:a + batch_size]]
+            if sel.size < 2:
+                continue
+            loss, grad = loss_and_grad(theta, sel)
+            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+                diverged = True
+                break
+            losses.append(loss)
+            theta = opt.step(theta, grad)
+        if diverged:
+            break
+        if after_epoch is not None:
+            after_epoch(theta)
+        val = val_fn(theta)
+        history.append({"epoch": epoch,
+                        "train": float(np.mean(losses)) if losses else float("nan"),
+                        "val": val})
+        if val < best_val:
+            best_val, best_theta, best_epoch = val, theta.copy(), epoch
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best > cfg.patience:
+                break
+    return TrainResult(best_theta, history, best_epoch, best_val,
+                       diverged=diverged)
 
 
 # ---------------------------------------------------------------------------
@@ -785,18 +811,24 @@ def _nll_and_grad(flow, theta, xb, base):
     return nll, grad
 
 
-def train_mle(flow: FlowModel, data, cfg: TrainConfig, base=None) -> TrainResult:
+def train_mle(flow: FlowModel, data, cfg: TrainConfig) -> TrainResult:
     """Fit by maximum likelihood; lambda > 0 adds the IMA penalty of the
     learned mixing.  Returns the best validation checkpoint."""
-    base = base or IidNormalBase()
+    base = IidNormalBase()
     data = np.atleast_2d(np.asarray(data, dtype=float))
     tr_idx, va_idx = _split(data.shape[0], cfg.val_fraction, cfg.seed)
-    x_tr, x_va = data[tr_idx], data[va_idx]
-    va_probe = x_va[: min(cfg.ima_probe, x_va.shape[0])]
-
-    theta = flow.theta.copy()
-    opt = Adam(theta.size, cfg.lr, cfg.beta1, cfg.beta2)
+    x_va = data[va_idx]
+    va_probe = x_va[: cfg.ima_probe]
     lam = cfg.ima_weight
+
+    def loss_and_grad(th, rows):
+        xb = data[rows]
+        nll, grad = _nll_and_grad(flow, th, xb, base)
+        if lam > 0:
+            pen, pen_grad = cima_value_and_grad(flow, th, xb[: cfg.ima_probe])
+            grad = grad + lam * pen_grad
+            nll += lam * pen
+        return nll, grad
 
     def val_objective(th):
         z, ld, _ = flow.encode(x_va, th)
@@ -805,49 +837,9 @@ def train_mle(flow: FlowModel, data, cfg: TrainConfig, base=None) -> TrainResult
             obj += lam * float(cima_of_decoder(flow, th[None, :], va_probe)[0])
         return obj
 
-    best_theta = theta.copy()
-    best_val = val_objective(theta)
-    best_epoch = -1
-    history = [{"epoch": -1, "train": float("nan"), "val": best_val}]
-    diverged = False
-    since_best = 0
-
-    for epoch in range(cfg.epochs):
-        opt.lr = cfg.lr_at(epoch)
-        rng = spawn(cfg.seed, "epoch", epoch)
-        order = rng.permutation(x_tr.shape[0])
-        losses = []
-        for a in range(0, x_tr.shape[0], cfg.batch_size):
-            xb = x_tr[order[a:a + cfg.batch_size]]
-            if xb.shape[0] < 2:
-                continue
-            nll, grad = _nll_and_grad(flow, theta, xb, base)
-            if lam > 0:
-                probe = xb[: min(cfg.ima_probe, xb.shape[0])]
-                pen, pen_grad = cima_value_and_grad(flow, theta, probe)
-                grad = grad + lam * pen_grad
-                nll += lam * pen
-            if not np.isfinite(nll) or not np.all(np.isfinite(grad)):
-                diverged = True
-                break
-            losses.append(nll)
-            theta = opt.step(theta, grad)
-        if diverged:
-            break
-        val = val_objective(theta)
-        history.append({"epoch": epoch,
-                        "train": float(np.mean(losses)) if losses else float("nan"),
-                        "val": val})
-        if val < best_val:
-            best_val, best_theta, best_epoch = val, theta.copy(), epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > cfg.patience:
-                break
-
-    return TrainResult(flow.with_theta(best_theta), history, best_epoch,
-                       best_val, diverged=diverged)
+    res = fit(flow.theta, tr_idx, cfg.batch_size, loss_and_grad, val_objective, cfg)
+    res.model = flow.with_theta(res.model)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -880,50 +872,15 @@ def train_align_invertible(flow: FlowModel, pairs, cfg: TrainConfig,
         raise ValueError("paired views must have identical shapes")
     tr_idx, va_idx = _split(xa.shape[0], cfg.val_fraction, cfg.seed)
 
-    theta = flow.theta.copy()
-    opt = Adam(theta.size, cfg.lr, cfg.beta1, cfg.beta2)
+    def loss_and_grad(th, rows):
+        return _align_loss_and_grad(flow, th, xa[rows], xb[rows], n_content)
 
     def val_loss(th):
-        loss, _ = _align_loss_and_grad(flow, th, xa[va_idx], xb[va_idx], n_content)
-        return loss
+        return loss_and_grad(th, va_idx)[0]
 
-    best_theta = theta.copy()
-    best_val = val_loss(theta)
-    best_epoch = -1
-    history = [{"epoch": -1, "train": float("nan"), "val": best_val}]
-    diverged = False
-    since_best = 0
-    for epoch in range(cfg.epochs):
-        opt.lr = cfg.lr_at(epoch)
-        rng = spawn(cfg.seed, "epoch", epoch)
-        order = rng.permutation(tr_idx.size)
-        losses = []
-        for a in range(0, tr_idx.size, cfg.batch_size):
-            sel = tr_idx[order[a:a + cfg.batch_size]]
-            if sel.size < 2:
-                continue
-            loss, grad = _align_loss_and_grad(flow, theta, xa[sel], xb[sel],
-                                              n_content)
-            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-                diverged = True
-                break
-            losses.append(loss)
-            theta = opt.step(theta, grad)
-        if diverged:
-            break
-        val = val_loss(theta)
-        history.append({"epoch": epoch,
-                        "train": float(np.mean(losses)) if losses else float("nan"),
-                        "val": val})
-        if val < best_val:
-            best_val, best_theta, best_epoch = val, theta.copy(), epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > cfg.patience:
-                break
-    return TrainResult(flow.with_theta(best_theta), history, best_epoch,
-                       best_val, diverged=diverged)
+    res = fit(flow.theta, tr_idx, cfg.batch_size, loss_and_grad, val_loss, cfg)
+    res.model = flow.with_theta(res.model)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -1053,8 +1010,8 @@ def train_align_maxent(encoder: EncoderMlp, pairs, cfg: TrainConfig) -> TrainRes
     K = cfg.n_negatives
     tau = cfg.temperature
 
-    theta = encoder.theta.copy()
-    opt = Adam(theta.size, cfg.lr, cfg.beta1, cfg.beta2)
+    def loss_and_grad(th, rows):
+        return _info_nce_grad(encoder, th, xa[rows], xb[rows], tau)
 
     def val_loss(th):
         total, count = 0.0, 0
@@ -1068,34 +1025,13 @@ def train_align_maxent(encoder: EncoderMlp, pairs, cfg: TrainConfig) -> TrainRes
             count += sel.size
         return total / max(count, 1)
 
-    monitor = xa[tr_idx[: min(512, tr_idx.size)]]
-    best_theta = theta.copy()
-    best_val = val_loss(theta)
-    best_epoch = -1
-    history = [{"epoch": -1, "train": float("nan"), "val": best_val}]
-    collapsed = False
+    monitor = xa[tr_idx[:512]]
     low_var_run = 0
-    diverged = False
-    since_best = 0
-    for epoch in range(cfg.epochs):
-        opt.lr = cfg.lr_at(epoch)
-        rng = spawn(cfg.seed, "epoch", epoch)
-        order = rng.permutation(tr_idx.size)
-        losses = []
-        for a in range(0, tr_idx.size, K):
-            sel = tr_idx[order[a:a + K]]
-            if sel.size < 2:
-                continue
-            loss, grad = _info_nce_grad(encoder, theta, xa[sel], xb[sel], tau)
-            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-                diverged = True
-                break
-            losses.append(loss)
-            theta = opt.step(theta, grad)
-        if diverged:
-            break
-        variance = encoder.forward(monitor, theta).var(axis=0)
-        if np.all(variance < 1e-6):
+    collapsed = False
+
+    def watch_collapse(th):
+        nonlocal low_var_run, collapsed
+        if np.all(encoder.forward(monitor, th).var(axis=0) < 1e-6):
             low_var_run += 1
             if low_var_run >= 5 and not collapsed:
                 collapsed = True
@@ -1103,16 +1039,9 @@ def train_align_maxent(encoder: EncoderMlp, pairs, cfg: TrainConfig) -> TrainRes
                               CollapseWarning)
         else:
             low_var_run = 0
-        val = val_loss(theta)
-        history.append({"epoch": epoch,
-                        "train": float(np.mean(losses)) if losses else float("nan"),
-                        "val": val})
-        if val < best_val:
-            best_val, best_theta, best_epoch = val, theta.copy(), epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > cfg.patience:
-                break
-    return TrainResult(encoder.with_theta(best_theta), history, best_epoch,
-                       best_val, diverged=diverged, collapsed=collapsed)
+
+    res = fit(encoder.theta, tr_idx, K, loss_and_grad, val_loss, cfg,
+              after_epoch=watch_collapse)
+    res.model = encoder.with_theta(res.model)
+    res.collapsed = collapsed
+    return res

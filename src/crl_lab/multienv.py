@@ -18,7 +18,9 @@ from scipy.stats import ks_2samp
 
 from . import mixing as mixing_mod
 from .errors import SelectionError
-from .flow import Adam, FlowModel, TrainConfig, init_whitening
+# Adam is unused here but kept bound: the benchmark's self-check still
+# asserts that ``multienv.Adam.step`` is traced
+from .flow import Adam, FlowModel, TrainConfig, fit, init_whitening  # noqa: F401
 from .mixing import Elementwise, MixingMap
 from .rng import child_seed, spawn
 from .scm import (
@@ -149,10 +151,6 @@ class CrlCandidate:
         tg = ",".join(f"e{e}:{t}" for e, t in sorted(self.targets.items()))
         return f"g[{edges}]|t[{tg}]"
 
-    def describe(self) -> dict:
-        return {"graph": [list(e) for e in self.graph.edges()],
-                "targets": {str(k): v for k, v in self.targets.items()}}
-
     def psi_evaluator(self, data: MultiEnvDataset):
         """Diagnostic map psi = f^(-1) o h^(-1) from modeled latents to the
         ground-truth latents; needs the dataset sidecar.
@@ -202,7 +200,7 @@ def _mech_slices(graph: Dag):
 class _CandidateDensity:
     """Latent log density q^e(z) per environment with analytic gradients."""
 
-    def __init__(self, cand: CrlCandidate, n_envs: int):
+    def __init__(self, cand: CrlCandidate):
         self.graph = cand.graph
         self.targets = cand.targets
         self.n = cand.graph.n
@@ -211,10 +209,6 @@ class _CandidateDensity:
         self.env_ids = sorted(cand.targets)
         self.n_env_params = 2 * len(self.env_ids)
         self.n_params = self.n_base + self.n_env_params
-
-    def init_params(self, rng):
-        theta = np.zeros(self.n_params)
-        return theta
 
     def split(self, theta):
         return theta[: self.n_base], theta[self.n_base:]
@@ -266,7 +260,7 @@ def fit_candidate(cand: CrlCandidate, data: MultiEnvDataset,
     """Jointly fit the shared flow and mechanism parameters by maximum
     likelihood over all environments; returns (candidate, per-env held-out
     log-likelihood, total held-out log-likelihood per sample)."""
-    dens = _CandidateDensity(cand, len(data.envs))
+    dens = _CandidateDensity(cand)
     flow = cand.flow
 
     x_all = np.concatenate([env.x for env in data.envs], axis=0)
@@ -285,9 +279,8 @@ def fit_candidate(cand: CrlCandidate, data: MultiEnvDataset,
 
     flow.init_params(child_seed(cfg.seed, "flow-init"))
     init_whitening(flow, x_all[tr_idx])
-    theta = np.concatenate([flow.theta, dens.init_params(None)])
+    theta = np.concatenate([flow.theta, np.zeros(dens.n_params)])
     nf = flow.n_params
-    opt = Adam(theta.size, cfg.lr, cfg.beta1, cfg.beta2)
 
     def batch_nll_grad(th, idx):
         z, ld, caches = flow.encode(x_all[idx], th[:nf], want_cache=True)
@@ -321,33 +314,11 @@ def fit_candidate(cand: CrlCandidate, data: MultiEnvDataset,
             rows += int(np.sum(sel))
         return per_env, total / rows
 
-    best_theta = theta.copy()
-    _, best_total = heldout_ll(theta)
-    since_best = 0
-    diverged = False
-    for epoch in range(cfg.epochs):
-        opt.lr = cfg.lr_at(epoch)
-        rng = spawn(cfg.seed, "epoch", epoch)
-        order = rng.permutation(tr_idx.size)
-        for a in range(0, tr_idx.size, cfg.batch_size):
-            sel = tr_idx[order[a:a + cfg.batch_size]]
-            if sel.size < 2:
-                continue
-            nll, grad = batch_nll_grad(theta, sel)
-            if not np.isfinite(nll) or not np.all(np.isfinite(grad)):
-                diverged = True
-                break
-            theta = opt.step(theta, grad)
-        if diverged:
-            break
-        _, total = heldout_ll(theta)
-        if total > best_total:
-            best_total, best_theta = total, theta.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > cfg.patience:
-                break
+    # fit minimizes: the negated held-out log-likelihood is exact, so the
+    # same epoch wins as when maximizing it
+    res = fit(theta, tr_idx, cfg.batch_size, batch_nll_grad,
+              lambda th: -heldout_ll(th)[1], cfg)
+    best_theta, diverged = res.model, res.diverged
 
     if diverged and not np.all(np.isfinite(best_theta)):
         cand.failure = "training diverged with no finite checkpoint"
@@ -410,11 +381,6 @@ class GenericityProbe:
     def __post_init__(self):
         if self.phi not in _PHI:
             raise ValueError(f"phi must be one of {sorted(_PHI)}")
-
-
-def register_phi(name: str, fn):
-    """Add a custom continuous witness function on the positive reals."""
-    _PHI[name] = fn
 
 
 def genericity_gap(scm: Scm, intervened_first: Mechanism,

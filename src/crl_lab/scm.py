@@ -576,15 +576,5 @@ class MultiEnvDataset:
         return self.envs[0].x.shape[1]
 
     @property
-    def n_latent(self) -> int | None:
-        for env in self.envs:
-            if env.v is not None:
-                return env.v.shape[1]
-        return None
-
-    @property
     def has_ground_truth(self) -> bool:
         return self.meta is not None and self.meta.scm is not None
-
-    def row_counts(self) -> list:
-        return [env.x.shape[0] for env in self.envs]

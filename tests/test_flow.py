@@ -276,6 +276,24 @@ class TestTraining:
             flow.TrainConfig(batch_size=1)
         with pytest.raises(ValueError):
             flow.TrainConfig(epochs=0)
+        for bad in ({"lr": -1e-3}, {"lr": float("nan")}, {"lr": float("inf")},
+                    {"val_fraction": 0.0}, {"val_fraction": 1.0},
+                    {"val_fraction": 1.5}, {"n_negatives": 1},
+                    {"ima_probe": 0}, {"patience": -1}):
+            with pytest.raises(ValueError):
+                flow.TrainConfig(**bad)
+        flow.TrainConfig(lr=0.0, patience=0)  # a frozen model stays legal
+
+    def test_fit_stops_after_patience(self):
+        # a constant validation value never improves on the initial one, so
+        # the loop stops once patience + 1 epochs have gone by without gain
+        cfg = flow.TrainConfig(epochs=50, patience=3)
+        res = flow.fit(np.zeros(2), np.arange(10), 4,
+                       lambda th, rows: (float(th @ th), 2.0 * th),
+                       lambda th: 1.0, cfg)
+        assert len(res.history) == 5
+        assert res.best_epoch == -1
+        assert not res.diverged
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

@@ -132,6 +132,21 @@ class TestCandidates:
         z, _, _ = cand.flow.encode(data.envs[0].x[:50])
         np.testing.assert_allclose(psi(z), data.envs[0].v[:50], atol=1e-6)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning",
+                                "ignore:divide by zero:RuntimeWarning")
+    def test_fit_divergence_returns_last_finite_checkpoint(self):
+        cfg = multienv.CrlProblemConfig(rows_per_env=600)
+        data = multienv.generate_crl_problem(cfg, seed=3)
+        cand = multienv.CrlCandidate(
+            scm.Dag(2, ((), (0,))), {1: 0, 2: 1},
+            flow.default_bss_flow(2, n_couplings=2, hidden=(8,)))
+        tc = flow.TrainConfig(lr=1e9, epochs=10, batch_size=256, seed=3)
+        cand, _, _ = multienv.fit_candidate(cand, data, tc)
+        assert cand.fitted
+        assert cand.failure == "training diverged; returning last finite checkpoint"
+        assert np.all(np.isfinite(cand.flow.theta))
+
     def test_fit_deterministic(self):
         cfg = multienv.CrlProblemConfig(rows_per_env=1200)
         data = multienv.generate_crl_problem(cfg, seed=5)
