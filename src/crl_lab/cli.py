@@ -292,26 +292,13 @@ def _json_default(obj):
 def save_dataset(ds: scm_mod.MultiEnvDataset, path, ctx: RunContext | None = None):
     """Write the observation CSV, the optional latent CSV, and the sidecar."""
     path = Path(path)
-    d = ds.d
-    header = ["env_id"] + [f"x_{j}" for j in range(d)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for e, env in enumerate(ds.envs):
-            for row in env.x:
-                fh.write(str(e) + "," +
-                         ",".join(_FLOAT_FMT.format(v) for v in row) + "\n")
+    _write_env_csv(path, "x", [env.x for env in ds.envs])
     written = [path]
 
     latents_path = None
     if all(env.v is not None for env in ds.envs):
         latents_path = path.with_suffix(".latents.csv")
-        n = ds.envs[0].v.shape[1]
-        with open(latents_path, "w") as fh:
-            fh.write(",".join(["env_id"] + [f"v_{j}" for j in range(n)]) + "\n")
-            for e, env in enumerate(ds.envs):
-                for row in env.v:
-                    fh.write(str(e) + "," +
-                             ",".join(_FLOAT_FMT.format(v) for v in row) + "\n")
+        _write_env_csv(latents_path, "v", [env.v for env in ds.envs])
         written.append(latents_path)
 
     sidecar = {
@@ -332,6 +319,16 @@ def save_dataset(ds: scm_mod.MultiEnvDataset, path, ctx: RunContext | None = Non
         for p in written:
             ctx.artifacts.append(p.name)
     return written
+
+
+def _write_env_csv(path, prefix, blocks):
+    """One row per sample: the block's index as env_id, then the values."""
+    d = blocks[0].shape[1]
+    row = "{}," + ",".join([_FLOAT_FMT] * d) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(["env_id"] + [f"{prefix}_{j}" for j in range(d)]) + "\n")
+        for e, block in enumerate(blocks):
+            fh.writelines(row.format(e, *vals) for vals in block.tolist())
 
 
 def _read_env_csv(path, prefix):

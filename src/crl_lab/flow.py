@@ -899,10 +899,6 @@ class EncoderMlp:
         self.theta = (np.zeros(self.n_params) if theta is None
                       else np.asarray(theta, dtype=float).copy())
 
-    @property
-    def n_out(self):
-        return self.widths[-1]
-
     def _unpack(self, theta):
         out, off = [], 0
         for i, o in zip(self.widths[:-1], self.widths[1:]):

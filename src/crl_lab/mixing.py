@@ -24,6 +24,28 @@ def _as_batch(s, n):
     return arr, single
 
 
+def monotone_solve(fn, target, x, lo, hi, tol, max_iter, what):
+    """Solve ``fn(x) = target`` element-wise for an increasing ``fn``.
+
+    ``fn(x)`` returns the value and the derivative at ``x``.  Newton steps
+    that leave the bracket ``[lo, hi]`` are replaced by bisection; the bracket
+    shrinks around the root as the signs of the residuals show.  Raises
+    :class:`ConvergenceError` with the largest residual at the last iterate
+    if ``tol`` is not reached in ``max_iter`` steps.
+    """
+    for _ in range(max_iter):
+        val, deriv = fn(x)
+        f = val - target
+        if np.all(np.abs(f) < tol):
+            return x
+        lo = np.where(f < 0, np.maximum(lo, x), lo)
+        hi = np.where(f > 0, np.minimum(hi, x), hi)
+        x_new = x - f / np.maximum(deriv, 1e-300)
+        x = np.where((x_new <= lo) | (x_new >= hi), 0.5 * (lo + hi), x_new)
+    resid = float(np.max(np.abs(fn(x)[0] - target)))
+    raise ConvergenceError(f"{what} did not converge", resid)
+
+
 class MixingMap:
     """Base class: a diffeomorphism from R^n (or a declared domain) onto its image."""
 
@@ -192,11 +214,6 @@ class Permutation(MixingMap):
         J[:, np.arange(self.n), self.perm] = 1.0
         return J
 
-    def matrix(self) -> np.ndarray:
-        P = np.zeros((self.n, self.n))
-        P[np.arange(self.n), self.perm] = 1.0
-        return P
-
     def to_dict(self):
         return {"variant": "permutation", "perm": list(self.perm)}
 
@@ -350,22 +367,15 @@ class InvertibleMlp(MixingMap):
         return 1.0 - t * t + self.slope
 
     def _act_inverse(self, y, tol=1e-12, max_iter=100):
-        # monotone scalar Newton with a bisection safeguard
         x = y / (1.0 + self.slope)
         lo = np.minimum(x, (y - 1.0) / self.slope)
         hi = np.maximum(x, (y + 1.0) / self.slope)
-        for _ in range(max_iter):
-            f = self._act(x) - y
-            if np.all(np.abs(f) < tol):
-                return x
-            lo = np.where(f < 0, np.maximum(lo, x), lo)
-            hi = np.where(f > 0, np.minimum(hi, x), hi)
-            step = f / self._act_deriv(x)
-            x_new = x - step
-            bad = (x_new <= lo) | (x_new >= hi)
-            x = np.where(bad, 0.5 * (lo + hi), x_new)
-        resid = float(np.max(np.abs(self._act(x) - y)))
-        raise ConvergenceError("leaky-tanh inversion did not converge", resid)
+
+        def act(v):  # _act and _act_deriv from one tanh
+            t = np.tanh(v)
+            return t + self.slope * v, 1.0 - t * t + self.slope
+
+        return monotone_solve(act, y, x, lo, hi, tol, max_iter, "leaky-tanh inversion")
 
     def _forward(self, s):
         h = s
@@ -465,9 +475,15 @@ def mixing_from_dict(d: dict) -> MixingMap:
                        d.get("scale", 1.0), d.get("invert", True))
     if variant == "invertible-mlp":
         return InvertibleMlp(d["weights"], d["biases"], d.get("slope", 0.2))
+    # the remaining variants live in spurious, which builds on this module
+    from . import spurious
     if variant == "mpa":
-        # spurious builds on this module, so import it only when needed
-        from .spurious import MpaMap, marginal_from_dict
-        return MpaMap(d["rotation"], [marginal_from_dict(m) for m in d["marginals"]],
-                      d.get("clamp_eps", 1e-12))
+        return spurious.MpaMap(d["rotation"],
+                               [spurious.marginal_from_dict(m) for m in d["marginals"]],
+                               d.get("clamp_eps", 1e-12))
+    if variant == "darmois-gaussian":
+        return spurious.AnalyticGaussianDarmois(d["mean"], d["cov"])
+    if variant == "darmois-empirical":
+        ref = np.asarray(d["reference"], dtype=float)
+        return spurious.EmpiricalDarmois(ref, max_reference=ref.shape[0])
     raise ValueError(f"unknown mixing variant {variant!r}")

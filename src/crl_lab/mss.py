@@ -164,9 +164,6 @@ class MssResult:
     minimizers: tuple          # indices into dags, best soft score first
     ranking: tuple             # all indices ordered by (hard, soft)
 
-    def minimizer_dags(self):
-        return [self.dags[i] for i in self.minimizers]
-
 
 def mss_discover(data: MultiEnvDataset, test: CiInvarianceTest, n: int,
                  soft_kind: str = "one-minus-p") -> MssResult:

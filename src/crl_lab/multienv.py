@@ -515,41 +515,23 @@ class TransformedScm:
         return self.base.mechanisms[i].log_density(v_i, pa_v) + ld
 
 
-def _as_joint_model(model):
-    if isinstance(model, Scm):
-        class _Wrap:
-            def __init__(self, scm):
-                self.scm = scm
-                self.dag = scm.dag
-                self.n = scm.n
-
-            def sample_joint(self, count, seed):
-                return ancestral_sample(self.scm, count, seed)
-
-            def node_log_density(self, node, z_i, pa_values):
-                return self.scm.node_log_density(node, z_i, pa_values)
-
-        return _Wrap(model)
-    return model
-
-
 def causal_influence(model, i: int, j: int, n_mc: int = 100_000, seed: int = 0,
                      inner: int = 256):
     """KL divergence between the joint and the joint with the edge i->j's
     contribution marginalized out of the j mechanism.
 
-    Closed-form inner marginalization for all-linear-Gaussian SCMs, nested
-    Monte Carlo (``inner`` draws of the i marginal) otherwise.
+    ``model`` is an :class:`Scm` or a :class:`TransformedScm`.  Closed-form
+    inner marginalization for all-linear-Gaussian SCMs, nested Monte Carlo
+    (``inner`` draws of the i marginal) otherwise.
     """
-    wrapped = _as_joint_model(model)
-    if not (0 <= i < wrapped.n and 0 <= j < wrapped.n) or i == j or \
-            i not in wrapped.dag.parents[j]:
+    if not (0 <= i < model.n and 0 <= j < model.n) or i == j or \
+            i not in model.dag.parents[j]:
         raise ValueError(f"need an edge {i}->{j} in the graph")
 
     outer_seed = child_seed(seed, "influence-outer")
-    v = wrapped.sample_joint(n_mc, outer_seed)
-    pa_j = list(wrapped.dag.parents[j])
-    lp_j = wrapped.node_log_density(j, v[:, j], v[:, pa_j])
+    v = model.sample_joint(n_mc, outer_seed)
+    pa_j = list(model.dag.parents[j])
+    lp_j = model.node_log_density(j, v[:, j], v[:, pa_j])
 
     closed = isinstance(model, Scm) and model.all_linear_gaussian()
     if closed:
@@ -566,7 +548,7 @@ def causal_influence(model, i: int, j: int, n_mc: int = 100_000, seed: int = 0,
         lp_cut = -0.5 * (r * r + _LOG_2PI) - 0.5 * np.log(var_marg)
     else:
         inner_seed = child_seed(seed, "influence-inner")
-        vi_draws = wrapped.sample_joint(inner, inner_seed)[:, i]
+        vi_draws = model.sample_joint(inner, inner_seed)[:, i]
         k = pa_j.index(i)
         # evaluate log mean_k p_j(v_j | parents with v_i := draw_k)
         chunk = max(1, 200_000 // inner)
@@ -577,7 +559,7 @@ def causal_influence(model, i: int, j: int, n_mc: int = 100_000, seed: int = 0,
             pa_rep = np.repeat(blk[:, pa_j], inner, axis=0)
             pa_rep[:, k] = np.tile(vi_draws, m)
             vj_rep = np.repeat(blk[:, j], inner)
-            lp = wrapped.node_log_density(j, vj_rep, pa_rep).reshape(m, inner)
+            lp = model.node_log_density(j, vj_rep, pa_rep).reshape(m, inner)
             mx = lp.max(axis=1, keepdims=True)
             lp_cut[a:a + chunk] = (mx[:, 0]
                                    + np.log(np.mean(np.exp(lp - mx), axis=1)))

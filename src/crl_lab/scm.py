@@ -345,6 +345,9 @@ class Scm:
                 pa = pa[:, None]
         return self.mechanisms[i].log_density(v_i, pa)
 
+    def sample_joint(self, count, seed):
+        return ancestral_sample(self, count, seed)
+
     def all_linear_gaussian(self) -> bool:
         return all(m.kind == "linear-gaussian" for m in self.mechanisms)
 

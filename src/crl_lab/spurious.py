@@ -1,10 +1,13 @@
 """Spurious nonlinear-ICA solutions used as negative controls.
 
+Both are ``MixingMap`` objects that round-trip through ``mixing_from_dict``:
+
 * The Darmois construction: the recursive conditional-CDF transform, either
   in closed form for jointly Gaussian observations or as a deterministic
-  kernel estimator built from samples (no training involved).
+  kernel estimator built from samples (no training involved).  The map is
+  the uniformizer g; ``Inverted(g)`` is the spurious mixing.
 * Rotated-Gaussian measure-preserving automorphisms that remix sources
-  without changing their distribution.
+  without changing their distribution (``mpa.forward``).
 """
 
 from __future__ import annotations
@@ -15,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import (
-    CapacityError,
-    ConvergenceError,
-    DomainError,
-    SampleSizeError,
-    SingularityError,
-)
-from .mixing import Inverted, MixingMap
+from .errors import CapacityError, DomainError, SampleSizeError, SingularityError
+from .mixing import MixingMap, monotone_solve
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -119,18 +116,8 @@ class EmpiricalMarginal(Marginal):
         lo = np.full(u.shape, self.ref[0] - 12 * self.bandwidth)
         hi = np.full(u.shape, self.ref[-1] + 12 * self.bandwidth)
         x = np.interp(u, np.linspace(0, 1, self.ref.size), self.ref)
-        for _ in range(max_iter):
-            f = self.cdf(x) - u
-            if np.all(np.abs(f) < tol):
-                return x
-            lo = np.where(f < 0, np.maximum(lo, x), lo)
-            hi = np.where(f > 0, np.minimum(hi, x), hi)
-            step = f / np.maximum(self.pdf(x), 1e-300)
-            x_new = x - step
-            bad = (x_new <= lo) | (x_new >= hi)
-            x = np.where(bad, 0.5 * (lo + hi), x_new)
-        raise ConvergenceError("empirical ppf did not converge",
-                               float(np.max(np.abs(self.cdf(x) - u))))
+        return monotone_solve(lambda v: (self.cdf(v), self.pdf(v)), u, x, lo, hi,
+                              tol, max_iter, "empirical ppf")
 
     def to_dict(self):
         return {"kind": "empirical", "reference": self.ref.tolist()}
@@ -162,27 +149,20 @@ def _to_open_cube(u):
     return np.clip(u, _OPEN_LO, _OPEN_HI)
 
 
-class DarmoisMap:
+class DarmoisMap(MixingMap):
     """The recursive conditional-CDF transform g: R^n -> (0,1)^n.
 
     Stage i maps x_i to the conditional CDF given x_{1:i-1}, so the output is
     jointly uniform on the unit hypercube and the Jacobian is lower
-    triangular with determinant equal to the joint density.
+    triangular with determinant equal to the joint density.  The map itself
+    is the uniformizer; ``Inverted(d)`` is the spurious mixing that sends
+    uniform sources to the observations.
     """
 
-    def __init__(self, mode: str, n: int):
-        self.mode = mode
-        self.n = n
 
-    # subclass API
-    def apply(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def jacobian(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def invert(self, u) -> np.ndarray:
-        raise NotImplementedError
+def _check_open_cube(u):
+    if np.any((u <= 0) | (u >= 1)):
+        raise DomainError("Darmois inverse needs coordinates in (0,1)")
 
 
 class AnalyticGaussianDarmois(DarmoisMap):
@@ -190,13 +170,13 @@ class AnalyticGaussianDarmois(DarmoisMap):
         mean = np.asarray(mean, dtype=float)
         cov = np.asarray(cov, dtype=float)
         n = mean.size
-        super().__init__("analytic-gaussian", n)
         if cov.shape != (n, n):
             raise ValueError("covariance shape mismatch")
         try:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise SingularityError("covariance must be positive definite") from exc
+        self.n = n
         self.mean = mean
         self.cov = cov
         # per-stage regression coefficients and conditional stddevs
@@ -219,15 +199,13 @@ class AnalyticGaussianDarmois(DarmoisMap):
             return np.full(x.shape[0], self.mean[0])
         return self.mean[i] + (x[:, :i] - self.mean[:i]) @ self._beta[i]
 
-    def apply(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def _forward(self, x):
         out = np.empty_like(x)
         for i in range(self.n):
             out[:, i] = ndtr((x[:, i] - self._cond_mean(i, x)) / self._sigma[i])
         return _to_open_cube(out)
 
-    def jacobian(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def _jacobian(self, x):
         m = x.shape[0]
         J = np.zeros((m, self.n, self.n))
         for i in range(self.n):
@@ -238,14 +216,16 @@ class AnalyticGaussianDarmois(DarmoisMap):
                 J[:, i, :i] = -dens[:, None] * self._beta[i][None, :]
         return J
 
-    def invert(self, u):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        if np.any((u <= 0) | (u >= 1)):
-            raise DomainError("Darmois inverse needs coordinates in (0,1)")
+    def _inverse(self, u):
+        _check_open_cube(u)
         x = np.empty_like(u)
         for i in range(self.n):
             x[:, i] = self._cond_mean(i, x) + self._sigma[i] * ndtri(u[:, i])
         return x
+
+    def to_dict(self):
+        return {"variant": "darmois-gaussian", "mean": self.mean.tolist(),
+                "cov": self.cov.tolist()}
 
 
 class EmpiricalDarmois(DarmoisMap):
@@ -255,7 +235,8 @@ class EmpiricalDarmois(DarmoisMap):
     reference points by a Gaussian kernel in the conditioning coordinates
     (bandwidth: median pairwise distance times N^(-1/(4+dim_cond))) and
     accumulates a smoothed indicator in the own coordinate.  Reference points
-    are subsampled deterministically for tractability of the kernel sums.
+    are subsampled deterministically for tractability of the kernel sums; a
+    sample of at most ``max_reference`` rows is the reference as it is.
     """
 
     def __init__(self, samples, max_reference: int = 2000):
@@ -265,9 +246,10 @@ class EmpiricalDarmois(DarmoisMap):
         n = samples.shape[1]
         if n > 3:
             raise CapacityError("empirical Darmois is limited to n <= 3")
-        if samples.shape[0] < 1000:
-            raise SampleSizeError("empirical Darmois needs at least 1000 samples")
-        super().__init__("empirical", n)
+        # the floor holds for the reference too, so to_dict rebuilds the map
+        if min(samples.shape[0], max_reference) < 1000:
+            raise SampleSizeError("empirical Darmois needs 1000 reference samples")
+        self.n = n
         n_build = samples.shape[0]
         if n_build > max_reference:
             idx = np.unique(
@@ -324,8 +306,7 @@ class EmpiricalDarmois(DarmoisMap):
 
     _EVAL_CHUNK = 2048  # keeps (chunk, m_ref) kernel matrices small
 
-    def apply(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def _forward(self, x):
         out = np.empty_like(x)
         for a in range(0, x.shape[0], self._EVAL_CHUNK):
             blk = x[a:a + self._EVAL_CHUNK]
@@ -333,8 +314,7 @@ class EmpiricalDarmois(DarmoisMap):
                 out[a:a + self._EVAL_CHUNK, i], _ = self._stage(i, blk)
         return _to_open_cube(out)
 
-    def jacobian(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def _jacobian(self, x):
         J = np.zeros((x.shape[0], self.n, self.n))
         for a in range(0, x.shape[0], self._EVAL_CHUNK):
             blk = x[a:a + self._EVAL_CHUNK]
@@ -343,39 +323,31 @@ class EmpiricalDarmois(DarmoisMap):
                 J[a:a + self._EVAL_CHUNK, i, :] = grad
         return J
 
-    def invert(self, u, tol=1e-10, max_iter=200):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        if np.any((u <= 0) | (u >= 1)):
-            raise DomainError("Darmois inverse needs coordinates in (0,1)")
+    def _inverse(self, u, tol=1e-10, max_iter=200):
+        _check_open_cube(u)
         x = np.zeros((u.shape[0], self.n))
         for i in range(self.n):
             lo = np.full(u.shape[0], self.ref[:, i].min() - 12 * self._h_own[i])
             hi = np.full(u.shape[0], self.ref[:, i].max() + 12 * self._h_own[i])
-            for bound in (lo, hi):
+            for bound, outside in ((lo, np.less), (hi, np.greater)):
                 x[:, i] = bound
-                val, _ = self._stage(i, x)
-                if np.any((u[:, i] < val) if bound is lo else (u[:, i] > val)):
+                if np.any(outside(u[:, i], self._stage(i, x)[0])):
                     raise DomainError(
                         f"stage {i} quantile outside the estimator's support"
                     )
-            xi = np.full(u.shape[0], np.median(self.ref[:, i]))
-            for _ in range(max_iter):
+
+            def stage(xi):
                 x[:, i] = xi
                 val, grad = self._stage(i, x, want_jac=True)
-                f = val - u[:, i]
-                if np.all(np.abs(f) < tol):
-                    break
-                lo = np.where(f < 0, np.maximum(lo, xi), lo)
-                hi = np.where(f > 0, np.minimum(hi, xi), hi)
-                step = f / np.maximum(grad[:, i], 1e-300)
-                xi_new = xi - step
-                bad = (xi_new <= lo) | (xi_new >= hi)
-                xi = np.where(bad, 0.5 * (lo + hi), xi_new)
-            else:
-                raise ConvergenceError("Darmois stage inversion did not converge",
-                                       float(np.max(np.abs(f))))
-            x[:, i] = xi
+                return val, grad[:, i]
+
+            x[:, i] = monotone_solve(stage, u[:, i],
+                                     np.full(u.shape[0], np.median(self.ref[:, i])),
+                                     lo, hi, tol, max_iter, "Darmois stage inversion")
         return x
+
+    def to_dict(self):
+        return {"variant": "darmois-empirical", "reference": self.ref.tolist()}
 
 
 def darmois_build(data, mode: str = "empirical", max_reference: int = 2000) -> DarmoisMap:
@@ -391,35 +363,6 @@ def darmois_build(data, mode: str = "empirical", max_reference: int = 2000) -> D
         return EmpiricalDarmois(np.asarray(data, dtype=float),
                                 max_reference=max_reference)
     raise ValueError(f"unknown Darmois mode {mode!r}")
-
-
-class _DarmoisForward(MixingMap):
-    """The uniformizer g as a MixingMap (forward: observations -> (0,1)^n)."""
-
-    def __init__(self, d: DarmoisMap):
-        self.d = d
-        self.n = d.n
-
-    def _forward(self, s):
-        return self.d.apply(s)
-
-    def _inverse(self, x):
-        return self.d.invert(x)
-
-    def _jacobian(self, s):
-        return self.d.jacobian(s)
-
-    def to_dict(self):
-        return {"variant": "darmois-uniformizer", "mode": self.d.mode}
-
-
-def darmois_uniformizer(d: DarmoisMap) -> MixingMap:
-    return _DarmoisForward(d)
-
-
-def darmois_as_mixing(d: DarmoisMap) -> MixingMap:
-    """The spurious mixing f = g^(-1) mapping uniform sources to observations."""
-    return Inverted(_DarmoisForward(d))
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +428,3 @@ class MpaMap(MixingMap):
         return {"variant": "mpa", "rotation": self.R.tolist(),
                 "marginals": [m.to_dict() for m in self.marginals],
                 "clamp_eps": self.clamp_eps}
-
-
-def mpa_apply(mpa: MpaMap, s):
-    """Push source point(s) through the measure-preserving automorphism."""
-    return mpa.forward(s)

@@ -1,0 +1,30 @@
+"""The benchmark's tracer (``crlbench/tracing.py``) wraps package functions
+and methods by name, so each name it binds must keep resolving: a missing one
+makes every ``--trace 1`` run fail at install time.  The tracer's ``install``
+is not called here, since it would patch this test process."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_TRACING = Path(__file__).resolve().parents[1] / "crlbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("crlbench_tracing", _TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+tracing = _load_tracing()
+HOOKS = ([(mod, path) for _, mod, path in tracing.SPANS]
+         + [(mod, path) for mod, path, _ in tracing.COUNTERS])
+
+
+@pytest.mark.parametrize("mod_name, path", HOOKS)
+def test_traced_name_resolves(mod_name, path):
+    owner, attr = tracing._owner(importlib.import_module(f"crl_lab.{mod_name}"), path)
+    assert callable(getattr(owner, attr))

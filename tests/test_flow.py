@@ -332,8 +332,8 @@ class TestAlignment:
         c = pairs.z[:, :2]
         d = spurious.darmois_build(c[:2000], mode="empirical")
         f_inv = mixing.Inverted(proc.mixing)
-        g_a = d.apply(f_inv.forward(pairs.x)[:, :2])
-        g_b = d.apply(f_inv.forward(pairs.x_tilde)[:, :2])
+        g_a = d.forward(f_inv.forward(pairs.x)[:, :2])
+        g_b = d.forward(f_inv.forward(pairs.x_tilde)[:, :2])
         alignment = np.mean(np.sum((g_a - g_b) ** 2, axis=1))
         assert alignment < 1e-12  # zero up to the mixing-inversion tolerance
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crl_lab import mixing, spurious
-from crl_lab.errors import DomainError
+from crl_lab.errors import ConvergenceError, DomainError
 from crl_lab.rng import spawn
 
 
@@ -177,6 +177,30 @@ class TestInverted:
         np.testing.assert_allclose(inv.forward(x), s, atol=1e-9)
 
 
+def _mlp_inverse_one_step():
+    mlp = mixing.random_invertible_mlp(2, 2, seed=3)
+    mlp._act_inverse(np.linspace(-4.0, 4.0, 9), max_iter=1)
+
+
+def _ppf_one_step():
+    m = spurious.EmpiricalMarginal(spawn(4, "emp").standard_normal(500))
+    m.ppf(np.linspace(0.05, 0.95, 9), max_iter=1)
+
+
+def _darmois_inverse_one_step():
+    x = spawn(5, "x").standard_normal((1000, 2))
+    d = spurious.EmpiricalDarmois(x)
+    d._inverse(d.forward(x[:9]), max_iter=1)
+
+
+@pytest.mark.parametrize("solve", [_mlp_inverse_one_step, _ppf_one_step,
+                                   _darmois_inverse_one_step])
+def test_monotone_solve_reports_residual_when_out_of_steps(solve):
+    with pytest.raises(ConvergenceError, match="did not converge") as err:
+        solve()
+    assert np.isfinite(err.value.residual) and err.value.residual > 0
+
+
 class TestSerialization:
     @pytest.mark.parametrize("factory", [
         lambda: mixing.PolarToCartesian(),
@@ -195,7 +219,8 @@ class TestSerialization:
         np.testing.assert_array_equal(m.forward(s), clone.forward(s))
 
     @given(st.sampled_from(["polar", "elementwise", "permutation", "moebius",
-                            "invertible-mlp", "mpa", "inverted", "composition"]),
+                            "invertible-mlp", "mpa", "inverted", "composition",
+                            "darmois-gaussian", "darmois-empirical"]),
            st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_from_dict_reproduces_every_variant(self, variant, seed):
@@ -226,6 +251,14 @@ def _random_variant(variant, seed):
                                             bias_scale=0.5)
     if variant == "inverted":
         return mixing.Inverted(mixing.random_moebius(2, seed))
+    if variant == "darmois-gaussian":
+        A = rng.standard_normal((2, 2))
+        return spurious.AnalyticGaussianDarmois(rng.normal(size=2),
+                                                A @ A.T + 0.1 * np.eye(2))
+    if variant == "darmois-empirical":
+        A = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+        rows = int(rng.integers(1000, 3001))
+        return spurious.EmpiricalDarmois(rng.standard_normal((rows, 2)) @ A.T)
     mpa = spurious.MpaMap(
         mixing.rotation_2d(rng.uniform(0, 2 * np.pi)),
         [spurious.UniformMarginal(0, 1),

@@ -161,6 +161,36 @@ class TestCandidates:
         assert totals[0] == totals[1]
 
 
+class TestCandidateDensity:
+    @pytest.mark.parametrize("k", range(4))
+    def test_gradients_match_central_differences(self, k):
+        data = multienv.generate_crl_problem(
+            multienv.CrlProblemConfig(rows_per_env=200), seed=2)
+        cand = multienv.enumerate_bivariate_candidates(
+            data, lambda: flow.default_bss_flow(2, 2, (8,)))[k]
+        dens = multienv._CandidateDensity(cand)
+        rng = spawn(k, "density-grad")
+        theta = 0.5 * rng.standard_normal(dens.n_params)
+        z = rng.standard_normal((64, 2))
+        h = 1e-6
+
+        def rel(grad, ref):
+            return np.max(np.abs(grad - ref)) / np.max(np.abs(ref))
+
+        for env in range(3):
+            def lp(zz, th):
+                return dens.logpdf_and_grads(zz, env, th)[0]
+
+            _, dz, dth = dens.logpdf_and_grads(z, env, theta)
+            eye_z, eye_th = h * np.eye(2), h * np.eye(dens.n_params)
+            fd_z = np.stack([(lp(z + e, theta) - lp(z - e, theta)) / (2 * h)
+                             for e in eye_z], axis=1)
+            fd_th = np.array([(lp(z, theta + e).sum() - lp(z, theta - e).sum())
+                              / (2 * h) for e in eye_th])
+            assert rel(dz, fd_z) <= 1e-5
+            assert rel(dth.sum(axis=0), fd_th) <= 1e-5
+
+
 class TestGenericity:
     def test_linear_phi_control(self):
         base, p1t, p2t = reference_instance()

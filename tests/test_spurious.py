@@ -18,7 +18,7 @@ class TestAnalyticGaussianDarmois:
     def test_stage_two_closed_form(self):
         rng = spawn(0, "grid")
         x = rng.standard_normal((200, 2))
-        u = self.d.apply(x)
+        u = self.d.forward(x)
         expected = ndtr((x[:, 1] - self.rho * x[:, 0])
                         / np.sqrt(1 - self.rho**2))
         np.testing.assert_allclose(u[:, 1], expected, atol=1e-8)
@@ -43,15 +43,14 @@ class TestAnalyticGaussianDarmois:
         np.testing.assert_allclose(J[:, 1, 1], p2, atol=1e-10)
 
     def test_round_trip_through_mixing_wrapper(self):
-        f_d = spurious.darmois_as_mixing(self.d)
-        g_d = spurious.darmois_uniformizer(self.d)
+        f_d = mixing.Inverted(self.d)
         rng = spawn(3, "grid")
         u = rng.uniform(0.02, 0.98, (100, 2))
-        np.testing.assert_allclose(g_d.forward(f_d.forward(u)), u, atol=1e-6)
+        np.testing.assert_allclose(self.d.forward(f_d.forward(u)), u, atol=1e-6)
 
     def test_output_in_unit_cube(self):
         rng = spawn(4, "grid")
-        u = self.d.apply(rng.standard_normal((500, 2)) * 2)
+        u = self.d.forward(rng.standard_normal((500, 2)) * 2)
         assert np.all((u > 0) & (u < 1))
 
     def test_singular_covariance_rejected(self):
@@ -65,7 +64,7 @@ class TestEmpiricalDarmois:
         u = spawn(5, "u").uniform(0, 1, size=(50_000, 2))
         d = spurious.darmois_build(u, mode="empirical", max_reference=50_000)
         grid = np.stack([np.linspace(0.02, 0.98, 60)] * 2, axis=1)
-        assert np.max(np.abs(d.apply(grid) - grid)) < 0.02
+        assert np.max(np.abs(d.forward(grid) - grid)) < 0.02
 
     def test_pushforward_jointly_uniform(self):
         rng = spawn(78, "g")
@@ -73,7 +72,7 @@ class TestEmpiricalDarmois:
         x = rng.standard_normal((50_000, 2)) @ L.T
         d = spurious.darmois_build(x, mode="empirical", max_reference=50_000)
         fresh = rng.standard_normal((2000, 2)) @ L.T
-        push = d.apply(fresh)
+        push = d.forward(fresh)
         n = push.shape[0]
         for i in range(2):
             assert kstest(push[:, i], "uniform").statistic < 1.36 / np.sqrt(n)
@@ -95,18 +94,21 @@ class TestEmpiricalDarmois:
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd = (d.apply(probes + e) - d.apply(probes - e)) / (2 * h)
+            fd = (d.forward(probes + e) - d.forward(probes - e)) / (2 * h)
             np.testing.assert_allclose(J[:, :, j], fd, atol=1e-5)
 
     def test_invert_round_trip(self):
         x = spawn(8, "x").standard_normal((3000, 2))
         d = spurious.darmois_build(x, mode="empirical")
-        u = d.apply(x[:50])
-        np.testing.assert_allclose(d.apply(d.invert(u)), u, atol=1e-8)
+        u = d.forward(x[:50])
+        np.testing.assert_allclose(d.forward(d.inverse(u)), u, atol=1e-8)
 
     def test_sample_size_guard(self):
         with pytest.raises(SampleSizeError):
             spurious.darmois_build(np.zeros((500, 2)), mode="empirical")
+        with pytest.raises(SampleSizeError):
+            spurious.darmois_build(spawn(0, "x").standard_normal((2000, 2)),
+                                   mode="empirical", max_reference=500)
 
     def test_dimension_guard(self):
         with pytest.raises(CapacityError):
@@ -132,7 +134,7 @@ class TestMpa:
         marg = [spurious.UniformMarginal(0, 1)] * 2
         mpa = spurious.MpaMap(np.eye(2), marg)
         s = spawn(9, "s").uniform(0.01, 0.99, (200, 2))
-        np.testing.assert_allclose(spurious.mpa_apply(mpa, s), s, atol=1e-12)
+        np.testing.assert_allclose(mpa.forward(s), s, atol=1e-12)
 
     def test_gaussian_source_permutation_rotation(self):
         marg = [spurious.GaussianMarginal(0, 1)] * 2
