@@ -702,6 +702,21 @@ def _build_parser():
     return parser
 
 
+def _worker_count(flag) -> int:
+    """Worker processes from ``--threads``, else ``CRL_LAB_THREADS``, else 1."""
+    if flag is not None:
+        name, raw = "--threads", flag
+    else:
+        name, raw = "CRL_LAB_THREADS", os.environ.get("CRL_LAB_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {raw!r}")
+    return threads
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
@@ -713,9 +728,7 @@ def run(argv) -> int:
         return 1
     try:
         cfg = load_config(args.command, args.config)
-        threads = args.threads
-        if threads is None:
-            threads = int(os.environ.get("CRL_LAB_THREADS", "1"))
+        threads = _worker_count(args.threads)
         if args.deterministic:
             threads = 1
         out = Path(args.out) if args.out else Path("runs") / args.command

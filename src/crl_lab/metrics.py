@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linear_sum_assignment
-from scipy.stats import rankdata
 
 from .errors import DegenerateColumnError, SampleSizeError
 from .rng import spawn
@@ -64,6 +63,7 @@ class MetricReport:
 
 def _abs_corr_matrix(z_hat: np.ndarray, z: np.ndarray, mode: str) -> np.ndarray:
     if mode == "rank":
+        from scipy.stats import rankdata  # slow to import; only rank mode needs it
         z_hat = np.apply_along_axis(rankdata, 0, z_hat)
         z = np.apply_along_axis(rankdata, 0, z)
     elif mode != "pearson":

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import mixing as mixing_mod
 from .errors import SelectionError
@@ -255,6 +254,27 @@ class _CandidateDensity:
         return lp, dz, dth
 
 
+def _batch_nll_grad(flow: FlowModel, dens: _CandidateDensity, theta, x, env):
+    """Mean negative log-likelihood of the rows ``x`` (environment ``env[r]``
+    for row r) and its gradient in ``theta``, the flow parameters followed by
+    the mechanism parameters."""
+    nf = flow.n_params
+    z, ld, caches = flow.encode(x, theta[:nf], want_cache=True)
+    m = x.shape[0]
+    lp_total = ld.copy()
+    dz = np.zeros_like(z)
+    dmech = np.zeros(dens.n_params)
+    for e in np.unique(env).tolist():
+        sel = env == e
+        lp, dz_e, dth_e = dens.logpdf_and_grads(z[sel], e, theta[nf:])
+        lp_total[sel] += lp
+        dz[sel] = -dz_e / m
+        dmech += -dth_e.sum(axis=0) / m
+    nll = -float(np.mean(lp_total))
+    dflow = flow.encode_backward(caches, dz, np.full(m, -1.0 / m), theta[:nf])
+    return nll, np.concatenate([dflow, dmech])
+
+
 def fit_candidate(cand: CrlCandidate, data: MultiEnvDataset,
                   cfg: TrainConfig):
     """Jointly fit the shared flow and mechanism parameters by maximum
@@ -283,22 +303,7 @@ def fit_candidate(cand: CrlCandidate, data: MultiEnvDataset,
     nf = flow.n_params
 
     def batch_nll_grad(th, idx):
-        z, ld, caches = flow.encode(x_all[idx], th[:nf], want_cache=True)
-        m = idx.size
-        lp_total = ld.copy()
-        dz = np.zeros_like(z)
-        dmech = np.zeros(dens.n_params)
-        for e in range(len(data.envs)):
-            sel = env_of[idx] == e
-            if not np.any(sel):
-                continue
-            lp, dz_e, dth_e = dens.logpdf_and_grads(z[sel], e, th[nf:])
-            lp_total[sel] += lp
-            dz[sel] = -dz_e / m
-            dmech += -dth_e.sum(axis=0) / m
-        nll = -float(np.mean(lp_total))
-        dflow = flow.encode_backward(caches, dz, np.full(m, -1.0 / m), th[:nf])
-        return nll, np.concatenate([dflow, dmech])
+        return _batch_nll_grad(flow, dens, th, x_all[idx], env_of[idx])
 
     def heldout_ll(th):
         z, ld, _ = flow.encode(x_all[va_idx], th[:nf])
@@ -608,6 +613,7 @@ def verify_minimality(scm: Scm, mixer: MixingMap, perm, phi: Elementwise,
     CDF, maps back and mixes.  The two observation samples must be
     indistinguishable per coordinate (two-sample KS at ``level``).
     """
+    from scipy.stats import ks_2samp  # slow to import; only this check needs it
     for t, ps in zip(spec.targets, spec.new_parents):
         if ps:
             raise ValueError("minimality check covers perfect interventions")

@@ -8,7 +8,6 @@ in well under two minutes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import kstest
 
 from . import flow as flow_mod
 from . import mixing as mixing_mod
@@ -78,6 +77,7 @@ def _check_cima_properties(seed):
 
 
 def _check_darmois_uniformity(seed):
+    from scipy.stats import kstest  # slow to import; only the KS checks need it
     rng = spawn(seed, "darmois")
     L = np.linalg.cholesky(np.array([[1.0, 0.6], [0.6, 1.5]]))
     x = rng.standard_normal((50_000, 2)) @ L.T
@@ -90,6 +90,7 @@ def _check_darmois_uniformity(seed):
 
 
 def _check_mpa_preservation(seed):
+    from scipy.stats import kstest  # slow to import; only the KS checks need it
     rng = spawn(seed, "mpa")
     marginals = [spurious.UniformMarginal(0, 1), spurious.UniformMarginal(0, 1)]
     mpa = spurious.MpaMap(mixing_mod.rotation_2d(np.pi / 3), marginals)

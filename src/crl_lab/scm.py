@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     AbductionError,
@@ -240,6 +239,7 @@ class Mechanism:
         return len(self.weights)
 
     def _spline(self):
+        from scipy.interpolate import PchipInterpolator  # only splines need it
         return PchipInterpolator(np.asarray(self.grid), np.asarray(self.values),
                                  extrapolate=True)
 

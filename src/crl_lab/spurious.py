@@ -279,26 +279,29 @@ class EmpiricalDarmois(DarmoisMap):
             h = max(med, 1e-3) * m ** (-1.0 / (4 + i))
             self._h_cond.append(h)
 
-    def _stage(self, i, x, want_jac=False):
-        """Stage-i conditional CDF values (and optionally gradients)."""
+    def _stage(self, i, x, deriv=None):
+        """Stage-i conditional CDF values and, with ``deriv="own"``, their
+        derivative in coordinate i, or with ``deriv="full"``, their gradient."""
         if i == 0:
             w = np.ones((x.shape[0], self.ref.shape[0]))
-            dw = None
         else:
             diff = x[:, None, :i] - self.ref[None, :, :i]
             w = np.exp(-0.5 * np.sum(diff * diff, axis=-1) / self._h_cond[i] ** 2)
-            # d w / d x_k = -w * diff_k / h^2 for conditioning coordinate k
-            dw = (-w[:, :, None] * diff / self._h_cond[i] ** 2) if want_jac else None
         zi = (x[:, i, None] - self.ref[None, :, i]) / self._h_own[i]
         Phi = ndtr(zi)
         B = np.sum(w, axis=1)
         A = np.sum(w * Phi, axis=1)
         val = A / B
-        if not want_jac:
+        if deriv is None:
             return val, None
+        own = np.sum(w * _phi(zi), axis=1) / (self._h_own[i] * B)
+        if deriv == "own":
+            return val, own
         grad = np.zeros((x.shape[0], self.n))
-        grad[:, i] = np.sum(w * _phi(zi), axis=1) / (self._h_own[i] * B)
+        grad[:, i] = own
         if i > 0:
+            # d w / d x_k = -w * diff_k / h^2 for conditioning coordinate k
+            dw = -w[:, :, None] * diff / self._h_cond[i] ** 2
             dA = np.sum(dw * Phi[:, :, None], axis=1)
             dB = np.sum(dw, axis=1)
             grad[:, :i] = (dA * B[:, None] - A[:, None] * dB) / (B * B)[:, None]
@@ -319,7 +322,7 @@ class EmpiricalDarmois(DarmoisMap):
         for a in range(0, x.shape[0], self._EVAL_CHUNK):
             blk = x[a:a + self._EVAL_CHUNK]
             for i in range(self.n):
-                _, grad = self._stage(i, blk, want_jac=True)
+                _, grad = self._stage(i, blk, deriv="full")
                 J[a:a + self._EVAL_CHUNK, i, :] = grad
         return J
 
@@ -338,8 +341,7 @@ class EmpiricalDarmois(DarmoisMap):
 
             def stage(xi):
                 x[:, i] = xi
-                val, grad = self._stage(i, x, want_jac=True)
-                return val, grad[:, i]
+                return self._stage(i, x, deriv="own")
 
             x[:, i] = monotone_solve(stage, u[:, i],
                                      np.full(u.shape[0], np.median(self.ref[:, i])),

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +211,20 @@ class TestCommands:
         manifest2 = json.loads((out2 / "manifest.json").read_text())
         assert manifest2["threads"] == 2
 
+    @pytest.mark.parametrize("flag, env", [
+        ("0", None), ("-2", None), (None, "abc"), (None, "0"),
+    ])
+    def test_bad_worker_count_exits_1_with_message(self, tmp_path, capsys,
+                                                   monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("CRL_LAB_THREADS", env)
+        argv = ["ima-eval", "--out", str(tmp_path / "o")]
+        if flag is not None:
+            argv += ["--threads", flag]
+        assert cli.run(argv) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_crl_sweep_csv_has_one_cell_per_column(self, tmp_path):
         # candidate ids such as g[0>1]|t[e1:0,e2:1] hold a comma
         cfg = tmp_path / "crl.json"
@@ -221,3 +239,15 @@ class TestCommands:
         assert len(rows) > 1
         assert all(len(r) == 6 for r in rows)
         assert any("," in r[1] for r in rows[1:])
+
+
+def test_cli_import_leaves_out_scipy_stats_and_interpolate():
+    code = ("import sys, crl_lab.cli, crl_lab.properties\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] in (['scipy', 'stats'],\n"
+            "                                     ['scipy', 'interpolate'])))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -93,6 +93,36 @@ class TestMssScore:
             softs.append(mss.mss_score(dag, sub, fs)[1])
         assert all(b >= a - 1e-12 for a, b in zip(softs, softs[1:]))
 
+    def test_finite_sample_pvalue_equals_scipy_stats_reference(self):
+        from scipy import stats
+
+        for seed in range(60):
+            rng = np.random.default_rng([seed, 7])
+            k, n_a, n_b = (int(v) for v in rng.integers([0, 20, 20], [4, 300, 300]))
+            # odd seeds shift the second environment; even seeds do not
+            shift, scale = rng.uniform(0, 0.5, size=2) * (seed % 2)
+            xa = rng.standard_normal((n_a, k))
+            xb = rng.standard_normal((n_b, k))
+            ya = xa.sum(axis=1) + rng.standard_normal(n_a)
+            yb = (1 + shift) * xb.sum(axis=1) + shift + \
+                (1 + scale) * rng.standard_normal(n_b)
+            rss_a, n_a, k = mss._ols(xa, ya)
+            rss_b, n_b, _ = mss._ols(xb, yb)
+            rss_p, _, _ = mss._ols(np.concatenate([xa, xb]),
+                                   np.concatenate([ya, yb]))
+            dof = n_a + n_b - 2 * k
+            num = max(rss_p - rss_a - rss_b, 0.0) / k
+            den = (rss_a + rss_b) / dof
+            p_coef = float(stats.f.sf(num / max(den, 1e-300), k, dof))
+            ratio = (rss_a / (n_a - k)) / max(rss_b / (n_b - k), 1e-300)
+            cdf = stats.f.cdf(ratio, n_a - k, n_b - k)
+            p_var = float(2 * min(cdf, 1 - cdf))
+            fisher = -2.0 * (np.log(max(p_coef, 1e-300))
+                             + np.log(max(p_var, 1e-300)))
+            expected = float(stats.chi2.sf(fisher, 4))
+            got = mss._finite_sample_pvalue(xa, ya, xb, yb)
+            assert got == expected, seed
+
 
 class TestMssDiscover:
     def test_unique_minimizer_on_marginal_shift(self):

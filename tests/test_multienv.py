@@ -190,6 +190,34 @@ class TestCandidateDensity:
             assert rel(dz, fd_z) <= 1e-5
             assert rel(dth.sum(axis=0), fd_th) <= 1e-5
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_batch_nll_gradient_matches_central_differences(self, k):
+        data = multienv.generate_crl_problem(
+            multienv.CrlProblemConfig(rows_per_env=200), seed=2)
+        cand = multienv.enumerate_bivariate_candidates(
+            data, lambda: flow.default_bss_flow(2, 3, (8,)))[k]
+        dens = multienv._CandidateDensity(cand)
+        fl = cand.flow
+        x = np.concatenate([env.x for env in data.envs])
+        env = np.concatenate([np.full(e.x.shape[0], i)
+                              for i, e in enumerate(data.envs)])
+        fl.init_params(k)
+        flow.init_whitening(fl, x)
+        rng = spawn(k, "nll-grad")
+        theta = np.concatenate([
+            fl.theta + 0.3 * rng.standard_normal(fl.n_params),
+            0.5 * rng.standard_normal(dens.n_params)])
+        rows = rng.choice(x.shape[0], 64, replace=False)
+
+        def nll(th):
+            return multienv._batch_nll_grad(fl, dens, th, x[rows], env[rows])[0]
+
+        _, grad = multienv._batch_nll_grad(fl, dens, theta, x[rows], env[rows])
+        h = 1e-6
+        fd = np.array([(nll(theta + e) - nll(theta - e)) / (2 * h)
+                       for e in h * np.eye(theta.size)])
+        assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) <= 1e-6
+
 
 class TestGenericity:
     def test_linear_phi_control(self):

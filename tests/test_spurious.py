@@ -103,6 +103,33 @@ class TestEmpiricalDarmois:
         u = d.forward(x[:50])
         np.testing.assert_allclose(d.forward(d.inverse(u)), u, atol=1e-8)
 
+    def test_own_derivative_is_the_gradient_entry(self):
+        x = spawn(9, "x").standard_normal((1500, 3))
+        d = spurious.darmois_build(x, mode="empirical")
+        for i in range(3):
+            val, own = d._stage(i, x[:40], deriv="own")
+            val_full, grad = d._stage(i, x[:40], deriv="full")
+            assert np.array_equal(val, val_full)
+            assert np.array_equal(own, grad[:, i])
+
+    def test_inverse_equals_newton_on_the_full_gradient(self):
+        x = spawn(10, "x").standard_normal((1500, 3))
+        d = spurious.darmois_build(x, mode="empirical")
+        u = d.forward(spawn(11, "x").standard_normal((40, 3)))
+        expected = np.zeros_like(u)
+        for i in range(3):
+            def stage(xi):
+                expected[:, i] = xi
+                val, grad = d._stage(i, expected, deriv="full")
+                return val, grad[:, i]
+
+            pad = 12 * d._h_own[i]
+            expected[:, i] = mixing.monotone_solve(
+                stage, u[:, i], np.full(40, np.median(d.ref[:, i])),
+                np.full(40, d.ref[:, i].min() - pad),
+                np.full(40, d.ref[:, i].max() + pad), 1e-10, 200, "stage")
+        assert np.array_equal(d.inverse(u), expected)
+
     def test_sample_size_guard(self):
         with pytest.raises(SampleSizeError):
             spurious.darmois_build(np.zeros((500, 2)), mode="empirical")
