@@ -511,21 +511,30 @@ def _cmd_ima_train(ctx: RunContext):
     ctx.write_json("summary.json", summary)
 
 
+def _multiview_cell(args):
+    seed, run_seed, cfg = args
+    proc = multiview.default_process(
+        n_c=cfg["n_c"], n_s=cfg["n_s"], statistical=cfg["statistical"],
+        causal=cfg["causal"], change_prob=cfg["change_prob"],
+        seed=child_seed(run_seed, "proc", seed))
+    exp_cfg = multiview.ContentExperimentConfig(
+        n_pairs=cfg["n_pairs"],
+        train=flow_mod.TrainConfig(lr=1e-3, epochs=cfg["epochs"],
+                                   n_negatives=256, temperature=0.5,
+                                   patience=15, seed=seed),
+        seed=seed)
+    return multiview.encode_content(proc, exp_cfg)
+
+
 def _cmd_multiview(ctx: RunContext):
     cfg = ctx.cfg
+    cells = [(seed, ctx.seed, cfg) for seed in cfg["seeds"]]
+    encoded = _map_cells(_multiview_cell, cells, ctx.threads)
+    # the kernel-ridge solves set the memory peak, so they run here, one at
+    # a time, after the pool's workers have exited
     rows = []
-    for seed in cfg["seeds"]:
-        proc = multiview.default_process(
-            n_c=cfg["n_c"], n_s=cfg["n_s"], statistical=cfg["statistical"],
-            causal=cfg["causal"], change_prob=cfg["change_prob"],
-            seed=child_seed(ctx.seed, "proc", seed))
-        exp_cfg = multiview.ContentExperimentConfig(
-            n_pairs=cfg["n_pairs"],
-            train=flow_mod.TrainConfig(lr=1e-3, epochs=cfg["epochs"],
-                                       n_negatives=256, temperature=0.5,
-                                       patience=15, seed=seed),
-            seed=seed)
-        report = multiview.content_experiment(proc, exp_cfg)
+    for seed, (features, targets, exp_cfg) in zip(cfg["seeds"], encoded):
+        report = multiview.score_content(features, targets, exp_cfg)
         rows.append([seed, report.r2_per_block["content"],
                      report.r2_per_block["style"], report.config_hash])
     ctx.write_csv("multiview.csv", ["seed", "r2_content", "r2_style",
@@ -655,9 +664,14 @@ def _cmd_report(ctx: RunContext):
 
 
 def _map_cells(fn, cells, threads):
+    """``fn`` over ``cells`` in order; with ``threads > 1``, in a process
+    pool that has exited by the time this returns."""
     if threads <= 1 or len(cells) <= 1:
         return [fn(c) for c in cells]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    # the pool starts all its workers at once, and an idle one still costs
+    # its resident memory
+    workers = min(threads, len(cells))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, cells))
 
 

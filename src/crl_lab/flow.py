@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrast import RESOLUTION, local_ima_from_jacobian
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .rng import spawn
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -894,6 +894,10 @@ class EncoderMlp:
     def __init__(self, widths, slope=0.1, theta=None):
         self.widths = tuple(int(w) for w in widths)
         self.slope = float(slope)
+        # maximum(a, slope * a) is the leaky ReLU of every float only for
+        # 0 < slope < 1; at slope 0 it maps +inf to nan
+        if not 0.0 < self.slope < 1.0:
+            raise ConfigError(f"leaky-ReLU slope must lie in (0, 1), got {slope!r}")
         self.n_params = sum(o * i + o for i, o in
                             zip(self.widths[:-1], self.widths[1:]))
         self.theta = (np.zeros(self.n_params) if theta is None
@@ -931,7 +935,7 @@ class EncoderMlp:
         for l, (W, b) in enumerate(layers):
             a = h @ W.T + b
             if l < len(layers) - 1:
-                h = np.where(a > 0, a, self.slope * a)
+                h = np.maximum(a, self.slope * a)
             else:
                 h = 1.0 / (1.0 + np.exp(-a))
             hs.append(h)
@@ -948,7 +952,7 @@ class EncoderMlp:
             if l == len(layers) - 1:
                 da = dh * h_out * (1.0 - h_out)
             else:
-                da = dh * np.where(h_out > 0, 1.0, self.slope)
+                da = dh * ((h_out > 0) * (1.0 - self.slope) + self.slope)
             o, i = W.shape
             off -= o
             dtheta[off:off + o] = da.sum(axis=0)

@@ -130,6 +130,16 @@ class ContentExperimentConfig:
 def content_experiment(proc: MultiViewProcess,
                        cfg: ContentExperimentConfig) -> MetricReport:
     """Train an InfoNCE encoder on pairs and report content/style R^2."""
+    return score_content(*encode_content(proc, cfg))
+
+
+def encode_content(proc: MultiViewProcess, cfg: ContentExperimentConfig):
+    """Train an InfoNCE encoder on pairs; return its (n_eval, out) features
+    of the evaluation views, their content and style blocks, and ``cfg``.
+
+    The result is small, so a worker process can train and hand it back
+    for :func:`score_content` to run elsewhere.
+    """
     data_seed = child_seed(cfg.seed, "data")
     pairs = sample_pairs(proc, cfg.n_pairs, data_seed)
     eval_pairs = sample_pairs(proc, cfg.n_eval, child_seed(cfg.seed, "eval"))
@@ -145,10 +155,15 @@ def content_experiment(proc: MultiViewProcess,
     c_hat = result.model.forward(eval_pairs.x)
     targets = {"content": eval_pairs.z[:, :proc.n_c],
                "style": eval_pairs.z[:, proc.n_c:]}
+    return c_hat, targets, cfg
+
+
+def score_content(features, targets, cfg: ContentExperimentConfig) -> MetricReport:
+    """Kernel-ridge R^2 of each target block from the encoded features."""
     krr_cfg = KrrConfig(**{**{k: getattr(cfg.krr, k)
                               for k in cfg.krr.__dataclass_fields__},
                            "seed": cfg.seed})
-    r2 = krr_r2(c_hat, targets, krr_cfg)
+    r2 = krr_r2(features, targets, krr_cfg)
     resolved = cfg.to_dict()
     return MetricReport(seed=cfg.seed, config_hash=config_hash(resolved),
                         r2_per_block=r2, config=resolved)

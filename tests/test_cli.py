@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -199,6 +200,48 @@ class TestCommands:
             (tmp_path / "par" / "bss.csv").read_bytes()
         hist = (tmp_path / "ser").glob("history_*.csv")
         assert any("epoch,train,val" in p.read_text() for p in hist)
+
+    @pytest.mark.parametrize("command,config", [
+        ("multiview", {"n_pairs": 600, "seeds": [0, 1], "epochs": 1}),
+        ("crl-sweep", {"n_seeds": 2, "rows_per_env": 200, "epochs": 1,
+                       "n_couplings": 1, "hidden": [4]}),
+    ])
+    def test_parallel_artifacts_equal_serial(self, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        artifacts = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert cli.run([command, "--config", str(cfg), "--out", str(out),
+                            "--seed", "4", "--threads", threads]) == 0
+            artifacts.append({p.name: p.read_bytes() for p in out.iterdir()
+                              if p.name != "manifest.json"})
+        assert artifacts[0] == artifacts[1]
+        assert len(artifacts[0]) >= 2
+
+    @pytest.mark.parametrize("threads,n_cells,workers", [(4, 2, 2), (2, 3, 2)])
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch, threads,
+                                                 n_cells, workers):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        cells = list(range(n_cells))
+        assert cli._map_cells(abs, cells, threads) == cells
+        assert started == [workers]
 
     def test_threads_env_var_honored_below_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CRL_LAB_THREADS", "3")

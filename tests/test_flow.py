@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crl_lab import contrast, flow, mixing
-from crl_lab.errors import DomainError
+from crl_lab.errors import ConfigError, DomainError
 from crl_lab.rng import spawn
 
 
@@ -362,6 +362,62 @@ class TestAlignment:
         with pytest.warns(flow.CollapseWarning):
             res = flow.train_align_maxent(enc, (xa, xa), cfg)
         assert res.collapsed
+
+
+class _WhereEncoder(flow.EncoderMlp):
+    """Reference: the leaky ReLU and its derivative through np.where."""
+
+    def forward(self, x, theta=None, want_cache=False):
+        theta = self.theta if theta is None else theta
+        layers = self._unpack(theta)
+        hs = [np.atleast_2d(np.asarray(x, dtype=float))]
+        for l, (W, b) in enumerate(layers):
+            a = hs[-1] @ W.T + b
+            hs.append(np.where(a > 0, a, self.slope * a) if l < len(layers) - 1
+                      else 1.0 / (1.0 + np.exp(-a)))
+        return (hs[-1], (hs, layers)) if want_cache else hs[-1]
+
+    def backward(self, cache, dout):
+        hs, layers = cache
+        grads, dh = [], dout
+        for l in reversed(range(len(layers))):
+            h_out = hs[l + 1]
+            if l == len(layers) - 1:
+                da = dh * h_out * (1.0 - h_out)
+            else:
+                da = dh * np.where(h_out > 0, 1.0, self.slope)
+            grads[:0] = [(da.T @ hs[l]).ravel(), da.sum(axis=0)]
+            dh = da @ layers[l][0]
+        return dh, np.concatenate(grads)
+
+
+class TestEncoderActivation:
+    @pytest.mark.parametrize("slope", [0.1, *spawn(30, "slopes").uniform(0, 1, 3)])
+    def test_equals_the_where_form_bitwise(self, slope):
+        enc = flow.EncoderMlp((6, 32, 32, 3), slope=slope)
+        enc.init_params(31)
+        enc.theta = enc.theta + 0.05 * spawn(32, "b").standard_normal(enc.n_params)
+        ref = _WhereEncoder(enc.widths, slope, enc.theta)
+        rng = spawn(33, "x")
+        xa = rng.standard_normal((64, 6))
+        xa[0] = 0.0
+        xb = xa + 0.2 * rng.standard_normal((64, 6))
+        z, cache = enc.forward(xa, want_cache=True)
+        z_ref, cache_ref = ref.forward(xa, want_cache=True)
+        assert np.array_equal(z, z_ref)
+        dout = rng.standard_normal(z.shape)
+        for got, want in zip(enc.backward(cache, dout),
+                             ref.backward(cache_ref, dout)):
+            assert np.array_equal(got, want)
+        loss, grad = flow._info_nce_grad(enc, enc.theta, xa, xb, 0.5)
+        loss_ref, grad_ref = flow._info_nce_grad(ref, ref.theta, xa, xb, 0.5)
+        assert loss == loss_ref
+        assert np.array_equal(grad, grad_ref)
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_slope_outside_the_open_unit_interval_rejected(self, slope):
+        with pytest.raises(ConfigError, match="slope"):
+            flow.EncoderMlp((3, 4, 2), slope=slope)
 
 
 class TestSerialization:
