@@ -888,16 +888,16 @@ def train_align_invertible(flow: FlowModel, pairs, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 
+# Negative-side slope of EncoderMlp's leaky ReLU. maximum(a, _LEAK * a) is the
+# leaky ReLU of every float only because 0 < _LEAK < 1.
+_LEAK = 0.1
+
+
 class EncoderMlp:
     """MLP encoder with leaky-ReLU hidden layers and a sigmoid output head."""
 
-    def __init__(self, widths, slope=0.1, theta=None):
+    def __init__(self, widths, theta=None):
         self.widths = tuple(int(w) for w in widths)
-        self.slope = float(slope)
-        # maximum(a, slope * a) is the leaky ReLU of every float only for
-        # 0 < slope < 1; at slope 0 it maps +inf to nan
-        if not 0.0 < self.slope < 1.0:
-            raise ConfigError(f"leaky-ReLU slope must lie in (0, 1), got {slope!r}")
         self.n_params = sum(o * i + o for i, o in
                             zip(self.widths[:-1], self.widths[1:]))
         self.theta = (np.zeros(self.n_params) if theta is None
@@ -935,7 +935,7 @@ class EncoderMlp:
         for l, (W, b) in enumerate(layers):
             a = h @ W.T + b
             if l < len(layers) - 1:
-                h = np.maximum(a, self.slope * a)
+                h = np.maximum(a, _LEAK * a)
             else:
                 h = 1.0 / (1.0 + np.exp(-a))
             hs.append(h)
@@ -952,7 +952,7 @@ class EncoderMlp:
             if l == len(layers) - 1:
                 da = dh * h_out * (1.0 - h_out)
             else:
-                da = dh * ((h_out > 0) * (1.0 - self.slope) + self.slope)
+                da = dh * ((h_out > 0) * (1.0 - _LEAK) + _LEAK)
             o, i = W.shape
             off -= o
             dtheta[off:off + o] = da.sum(axis=0)
@@ -962,15 +962,16 @@ class EncoderMlp:
         return dh, dtheta
 
     def with_theta(self, theta):
-        return EncoderMlp(self.widths, self.slope, theta)
+        return EncoderMlp(self.widths, theta)
 
     def to_dict(self):
-        return {"widths": list(self.widths), "slope": self.slope,
-                "theta": self.theta.tolist()}
+        return {"widths": list(self.widths), "theta": self.theta.tolist()}
 
     @staticmethod
     def from_dict(d):
-        return EncoderMlp(d["widths"], d["slope"], np.asarray(d["theta"]))
+        if d.get("slope", _LEAK) != _LEAK:
+            raise ConfigError(f"encoder slope {d['slope']!r} is not {_LEAK}")
+        return EncoderMlp(d["widths"], np.asarray(d["theta"]))
 
 
 def info_nce_loss(za, zb, tau):

@@ -130,23 +130,6 @@ class TestEmpiricalDarmois:
                 np.full(40, d.ref[:, i].max() + pad), 1e-10, 200, "stage")
         assert np.array_equal(d.inverse(u), expected)
 
-    def test_inverse_equals_the_loop_that_recomputes_the_weights(self):
-        x = spawn(12, "x").standard_normal((1500, 3))
-        d = spurious.darmois_build(x, mode="empirical")
-        u = d.forward(spawn(13, "x").standard_normal((300, 3)))
-        expected = np.zeros_like(u)
-        for i in range(3):
-            def stage(xi):
-                expected[:, i] = xi
-                return d._stage(i, expected, deriv="own")
-
-            pad = 12 * d._h_own[i]
-            expected[:, i] = mixing.monotone_solve(
-                stage, u[:, i], np.full(300, np.median(d.ref[:, i])),
-                np.full(300, d.ref[:, i].min() - pad),
-                np.full(300, d.ref[:, i].max() + pad), 1e-10, 200, "stage")
-        assert np.array_equal(d.inverse(u), expected)
-
     def test_sample_size_guard(self):
         with pytest.raises(SampleSizeError):
             spurious.darmois_build(np.zeros((500, 2)), mode="empirical")
