@@ -452,22 +452,24 @@ def _cmd_ima_eval(ctx: RunContext):
                   [[est.value, est.stderr, est.n_mc, est.seed]])
 
 
+def _sweep_cell(args):
+    k, theta, seed, cfg = args
+    mix = mixing.random_moebius(2, cfg["moebius_seed"])
+    marginals = [spurious.UniformMarginal(0, 1), spurious.UniformMarginal(0, 1)]
+    mpa = spurious.MpaMap(mixing.rotation_2d(theta), marginals)
+    est = global_ima(mixing.Composition([mpa, mix]),
+                     box_sampler([1e-9, 1e-9], [1.0, 1.0]), n_mc=cfg["n_mc"],
+                     seed=child_seed(seed, "sweep", k))
+    return [float(theta), est.value, est.stderr, est.n_mc, est.seed]
+
+
 def _cmd_ima_sweep(ctx: RunContext):
     """IMA contrast of a conformal mixing composed with rotated-Gaussian
     automorphisms over a grid of rotation angles."""
-    cfg = ctx.cfg
-    mix = mixing.random_moebius(2, cfg["moebius_seed"])
-    marginals = [spurious.UniformMarginal(0, 1), spurious.UniformMarginal(0, 1)]
-    sampler = box_sampler([1e-9, 1e-9], [1.0, 1.0])
-    rows = []
-    for k, theta in enumerate(cfg["thetas"]):
-        mpa = spurious.MpaMap(mixing.rotation_2d(theta), marginals)
-        composed = mixing.Composition([mpa, mix])
-        est = global_ima(composed, sampler, n_mc=cfg["n_mc"],
-                         seed=child_seed(ctx.seed, "sweep", k))
-        rows.append([float(theta), est.value, est.stderr, est.n_mc, est.seed])
+    cells = [(k, theta, ctx.seed, ctx.cfg)
+             for k, theta in enumerate(ctx.cfg["thetas"])]
     ctx.write_csv("sweep.csv", ["theta", "estimate", "stderr", "n_mc", "seed"],
-                  rows)
+                  _map_cells(_sweep_cell, cells, ctx.threads))
 
 
 def _bss_cell(args):

@@ -989,8 +989,9 @@ def _info_nce_grad(enc, theta, xa, xb, tau):
     zb, cb = enc.forward(xb, theta, want_cache=True)
     loss, S, lse = info_nce_loss(za, zb, tau)
     K = za.shape[0]
-    P = np.exp(S - lse[:, None])
-    dS = (P - np.eye(K)) / K
+    dS = np.exp(S - lse[:, None])
+    dS.flat[::K + 1] -= 1.0
+    dS /= K
     row = dS.sum(axis=1, keepdims=True)
     col = dS.sum(axis=0)[:, None]
     dza = (-2.0 / tau) * (row * za - dS @ zb)

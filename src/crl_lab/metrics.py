@@ -8,8 +8,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateColumnError, SampleSizeError
 from .rng import spawn
@@ -78,23 +76,66 @@ def _abs_corr_matrix(z_hat: np.ndarray, z: np.ndarray, mode: str) -> np.ndarray:
     return np.abs(a.T @ b) / np.outer(sa, sb)
 
 
+def _max_weight_assignment(C: np.ndarray) -> np.ndarray:
+    """Column matched to each row of the square ``C`` so that the matched
+    entries have the largest sum.
+
+    Shortest augmenting paths with row and column potentials (Jonker &
+    Volgenant 1987; Crouse 2016): each pass adds one row, runs Dijkstra over
+    the reduced costs of ``-C`` to the nearest free column, updates the
+    potentials and flips the path.  Exact, O(n^3), one numpy step per column
+    reached.
+    """
+    if not np.all(np.isfinite(C)):
+        raise ValueError("matrix contains invalid numeric entries")
+    cost = -C
+    n = cost.shape[0]
+    u, v = np.zeros(n), np.zeros(n)
+    col4row, row4col = np.full(n, -1), np.full(n, -1)
+    for cur in range(n):
+        dist, path = np.full(n, np.inf), np.full(n, -1)
+        done = np.zeros(n, dtype=bool)
+        seen, i, low = [], cur, 0.0
+        while True:
+            r = low + cost[i] - u[i] - v
+            closer = ~done & (r < dist)
+            dist[closer], path[closer] = r[closer], i
+            j = int(np.argmin(np.where(done, np.inf, dist)))
+            low = dist[j]
+            done[j] = True
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            seen.append(i)
+        u[cur] += low
+        u[seen] += low - dist[col4row[seen]]
+        v[done] -= low - dist[done]
+        while True:  # flip the path from the free column j back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def mcc(z_hat, z, mode: str = "pearson"):
     """Mean correlation coefficient under the best column assignment.
 
     Builds the absolute correlation matrix between learned and true sources,
-    solves the max-weight assignment, and returns the mean matched
-    correlation together with the matching permutation (``perm[i]`` is the
-    true column matched to learned column ``i``).
+    solves the max-weight assignment exactly by shortest augmenting paths
+    (the Jonker-Volgenant method, as in ``_max_weight_assignment``), and
+    returns the mean matched correlation together with the matching
+    permutation (``perm[i]`` is the true column matched to learned column
+    ``i``).
     """
     z_hat = np.asarray(z_hat, dtype=float)
     z = np.asarray(z, dtype=float)
     if z_hat.shape != z.shape:
         raise ValueError("z_hat and z must have identical shapes")
     C = _abs_corr_matrix(z_hat, z, mode)
-    rows, cols = linear_sum_assignment(C, maximize=True)
-    perm = np.empty(C.shape[0], dtype=int)
-    perm[rows] = cols
-    score = float(C[rows, cols].mean())
+    perm = _max_weight_assignment(C)
+    score = float(C[np.arange(C.shape[0]), perm].mean())
     return score, tuple(int(p) for p in perm)
 
 
@@ -155,6 +196,7 @@ def _factor(K):
 
     ``K.T`` is Fortran-ordered, so LAPACK factors it without a copy; only
     the upper triangle and the diagonal of ``K`` are overwritten."""
+    from scipy.linalg import cho_factor  # only kernel ridge needs scipy.linalg
     return cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
 
 
@@ -166,6 +208,7 @@ def _fit_predict(K_tr, K_te, y_tr, lam):
     definite, ``K_tr`` is rebuilt from its intact lower triangle and
     refactored with the ridge floor ``lam + 1e-6 m``.
     """
+    from scipy.linalg import cho_solve
     m = K_tr.shape[0]
     K_tr.flat[::m + 1] += lam
     diag = K_tr.diagonal().copy()

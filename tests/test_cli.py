@@ -205,6 +205,7 @@ class TestCommands:
         ("multiview", {"n_pairs": 600, "seeds": [0, 1], "epochs": 1}),
         ("crl-sweep", {"n_seeds": 2, "rows_per_env": 200, "epochs": 1,
                        "n_couplings": 1, "hidden": [4]}),
+        ("ima-sweep", {"thetas": [0.0, 0.5, 1.0], "n_mc": 2_000}),
     ])
     def test_parallel_artifacts_equal_serial(self, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
@@ -284,13 +285,31 @@ class TestCommands:
         assert any("," in r[1] for r in rows[1:])
 
 
-def test_cli_import_leaves_out_scipy_stats_and_interpolate():
-    code = ("import sys, crl_lab.cli, crl_lab.properties\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[:2] in (['scipy', 'stats'],\n"
-            "                                     ['scipy', 'interpolate'])))")
+def _scipy_subpackages_loaded_by(code):
+    """The scipy subpackages in ``sys.modules`` once a fresh interpreter has
+    run ``code``."""
+    code += ("\nimport sys\n"
+             "print(*{m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout.split())
+
+
+def test_cli_import_leaves_out_scipy_stats_and_interpolate():
+    loaded = _scipy_subpackages_loaded_by("import crl_lab.cli, crl_lab.properties")
+    assert not loaded & {"stats", "interpolate", "optimize", "linalg", "sparse"}
+
+
+def test_mcc_commands_load_no_scipy_optimize(tmp_path):
+    runs = [("ima-train", {"n_seeds": 1, "lambdas": [0.0], "rows": 300,
+                           "epochs": 1, "batch_size": 128}),
+            ("crl-sweep", {"n_seeds": 1, "rows_per_env": 200, "epochs": 1,
+                           "n_couplings": 1, "hidden": [4]})]
+    code = "from crl_lab import cli\n"
+    for command, config in runs:
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)]
+        code += f"assert cli.run({argv!r}) == 0\n"
+    assert "optimize" not in _scipy_subpackages_loaded_by(code)

@@ -414,6 +414,32 @@ class TestEncoderActivation:
         assert np.array_equal(grad, grad_ref)
 
 
+def _eye_info_nce_grad(enc, theta, xa, xb, tau):
+    """Reference: the InfoNCE gradient with the diagonal taken off via np.eye."""
+    za, ca = enc.forward(xa, theta, want_cache=True)
+    zb, cb = enc.forward(xb, theta, want_cache=True)
+    loss, S, lse = flow.info_nce_loss(za, zb, tau)
+    K = za.shape[0]
+    dS = (np.exp(S - lse[:, None]) - np.eye(K)) / K
+    row = dS.sum(axis=1, keepdims=True)
+    col = dS.sum(axis=0)[:, None]
+    dza = (-2.0 / tau) * (row * za - dS @ zb)
+    dzb = (-2.0 / tau) * (col * zb - dS.T @ za)
+    return loss, enc.backward(ca, dza)[1] + enc.backward(cb, dzb)[1]
+
+
+def test_info_nce_grad_equals_the_eye_form_bitwise():
+    enc = flow.EncoderMlp((6, 32, 3))
+    enc.init_params(34)
+    rng = spawn(35, "x")
+    xa = rng.standard_normal((128, 6))
+    xb = xa + 0.2 * rng.standard_normal((128, 6))
+    loss, grad = flow._info_nce_grad(enc, enc.theta, xa, xb, 0.5)
+    loss_ref, grad_ref = _eye_info_nce_grad(enc, enc.theta, xa, xb, 0.5)
+    assert loss == loss_ref
+    assert np.array_equal(grad, grad_ref)
+
+
 class TestSerialization:
     def test_flow_round_trip(self):
         fl = small_flow(seed=20)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,57 @@ class TestMcc:
         z_hat[:, 1] = 7.0
         with pytest.raises(DegenerateColumnError):
             metrics.mcc(z_hat, z)
+
+
+def _weight(C, cols):
+    return C[np.arange(C.shape[0]), cols].sum()
+
+
+def _squares(max_n):
+    """Square matrices of n = 1..max_n; integer entries make tied optima common."""
+    return st.integers(1, max_n).flatmap(lambda n: st.one_of(
+        st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n),
+        st.lists(st.integers(0, 2).map(float), min_size=n * n, max_size=n * n),
+    ).map(lambda v: np.array(v).reshape(n, n)))
+
+
+class TestAssignment:
+    @given(_squares(9))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy(self, C):
+        from scipy.optimize import linear_sum_assignment
+        n = C.shape[0]
+        cols = metrics._max_weight_assignment(C)
+        assert sorted(cols) == list(range(n))
+        rows, ref = linear_sum_assignment(C, maximize=True)
+        best = C[rows, ref].sum()
+        assert abs(_weight(C, cols) - best) <= 1e-12
+        # the optimum is unique iff banning any one of its matches costs weight
+        unique = True
+        for i in range(n):
+            banned = C.copy()
+            banned[i, ref[i]] = -C.sum() - 1.0
+            r, c = linear_sum_assignment(banned, maximize=True)
+            unique &= bool(banned[r, c].sum() < best - 1e-9)
+        if unique:
+            assert np.array_equal(cols, ref)
+
+    @given(_squares(6))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force(self, C):
+        best = max(_weight(C, list(p))
+                   for p in itertools.permutations(range(C.shape[0])))
+        assert abs(_weight(C, metrics._max_weight_assignment(C)) - best) <= 1e-12
+
+    def test_constant_matrix_gives_a_permutation(self):
+        cols = metrics._max_weight_assignment(np.full((5, 5), 0.3))
+        assert sorted(cols) == list(range(5))
+
+    def test_nan_entry_rejected(self):
+        C = np.eye(3)
+        C[1, 2] = np.nan
+        with pytest.raises(ValueError, match="invalid numeric"):
+            metrics._max_weight_assignment(C)
 
 
 class TestKrr:
