@@ -163,14 +163,27 @@ class KrrConfig:
             raise ValueError("bandwidth_pairs must be >= 2")
 
 
+def median_distance(x: np.ndarray) -> float:
+    """Median Euclidean distance over the pairs i < j of the rows of ``x``.
+
+    The squared distances are collected one row at a time, in the row-major
+    order of ``np.triu_indices``, so no (k, k, d) difference tensor exists.
+    """
+    k = x.shape[0]
+    d2 = np.empty(k * (k - 1) // 2)
+    start = 0
+    for i in range(k - 1):
+        diff = x[i] - x[i + 1:]
+        d2[start:start + k - 1 - i] = np.sum(diff * diff, axis=-1)
+        start += k - 1 - i
+    return float(np.sqrt(np.median(d2)))
+
+
 def _median_bandwidth(x: np.ndarray, n_pairs: int, rng) -> float:
     m = x.shape[0]
     k = min(m, max(2, n_pairs))
     idx = rng.choice(m, size=k, replace=False)
-    sub = x[idx]
-    d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=-1)
-    med = np.sqrt(np.median(d2[np.triu_indices(k, k=1)]))
-    return float(max(med, 1e-12))
+    return max(median_distance(x[idx]), 1e-12)
 
 
 _RBF_ROWS = 256
@@ -191,6 +204,19 @@ def _rbf(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def _mirror(K, diag):
+    """Copy the strictly-lower triangle of the square ``K`` onto its upper
+    triangle and set its diagonal to ``diag``, in place, _RBF_ROWS rows at
+    a time."""
+    m = K.shape[0]
+    for i in range(0, m, _RBF_ROWS):
+        j = min(i + _RBF_ROWS, m)
+        K[i:j, j:] = K[j:, i:j].T
+        blk = K[i:j, i:j]
+        np.copyto(blk, blk.T, where=~np.tri(j - i, dtype=bool))
+    K.flat[::m + 1] = diag
+
+
 def _factor(K):
     """Lower Cholesky factor of the symmetric C-ordered ``K``, in place.
 
@@ -200,27 +226,34 @@ def _factor(K):
     return cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
 
 
+def _solve(K, y, lam):
+    """Dual coefficients ``alpha`` of the ridge system ``(K + lam I) alpha = y``.
+
+    Consumes ``K``: the ridge is added to its diagonal and the Cholesky
+    factor overwrites its upper triangle, so ``_mirror`` can rebuild it from
+    the intact lower one.  If the system is not numerically positive
+    definite, ``K`` is rebuilt that way and refactored with the ridge floor
+    ``lam + 1e-6 m``.
+    """
+    from scipy.linalg import cho_solve
+    m = K.shape[0]
+    K.flat[::m + 1] += lam
+    diag = K.diagonal().copy()
+    try:
+        factor = _factor(K)
+    except np.linalg.LinAlgError:
+        warnings.warn("kernel system singular; applying ridge floor", RuntimeWarning)
+        _mirror(K, diag + 1e-6 * m)
+        factor = _factor(K)
+    return cho_solve(factor, y, check_finite=False)
+
+
 def _fit_predict(K_tr, K_te, y_tr, lam):
     """Kernel ridge fit ``(K_tr + lam I) alpha = y_tr``, returns ``K_te @ alpha``.
 
-    Consumes ``K_tr``: the ridge is added to its diagonal and the Cholesky
-    factor overwrites it.  If the system is not numerically positive
-    definite, ``K_tr`` is rebuilt from its intact lower triangle and
-    refactored with the ridge floor ``lam + 1e-6 m``.
+    Consumes ``K_tr`` as ``_solve`` does.
     """
-    from scipy.linalg import cho_solve
-    m = K_tr.shape[0]
-    K_tr.flat[::m + 1] += lam
-    diag = K_tr.diagonal().copy()
-    try:
-        factor = _factor(K_tr)
-    except np.linalg.LinAlgError:
-        warnings.warn("kernel system singular; applying ridge floor", RuntimeWarning)
-        for i in range(m - 1):
-            K_tr[i, i + 1:] = K_tr[i + 1:, i]
-        K_tr.flat[::m + 1] = diag + 1e-6 * m
-        factor = _factor(K_tr)
-    return K_te @ cho_solve(factor, y_tr, check_finite=False)
+    return K_te @ _solve(K_tr, y_tr, lam)
 
 
 def _r2(y_true, y_pred):
@@ -241,9 +274,12 @@ def krr_r2(features, targets, cfg: KrrConfig = KrrConfig()):
     Each ridge system ``K + lam I`` is symmetric positive definite and is
     solved by an in-place Cholesky factorization (LAPACK ``potrf`` on the
     kernel buffer itself), so a fit holds one m x m matrix: the inner
-    search factors a copy of the inner kernel per ridge value, and the
-    final fit consumes the training kernel, which is built only after the
-    inner kernels are freed.  Peak memory is about 1.45 x 8 m_train^2 bytes.
+    search factors the inner kernel in place for every ridge value and
+    rebuilds its upper triangle from the intact lower one before the next;
+    the training kernel is built only after the inner kernels are freed,
+    and the test kernel only after the training kernel is.  Peak memory is
+    about 1.14 x 8 m_train^2 bytes: the training kernel and one row block
+    of temporaries while it is built.
     """
     x = np.asarray(features, dtype=float)
     if x.shape[0] < 200:
@@ -265,6 +301,10 @@ def krr_r2(features, targets, cfg: KrrConfig = KrrConfig()):
     tr, te = perm[:n_train], perm[n_train:]
     n_inner = int(round(cfg.split_fraction * n_train))
     itr, iva = tr[:n_inner], tr[n_inner:]
+    if min(len(itr), len(iva), len(te)) == 0:
+        raise SampleSizeError(
+            f"krr_r2 split leaves an empty part: inner train {len(itr)}, inner "
+            f"validation {len(iva)}, train {len(tr)}, test {len(te)} rows")
 
     gamma = _median_bandwidth(x[tr], cfg.bandwidth_pairs, rng)
     y_all = np.concatenate([blocks[k] for k in blocks], axis=1)
@@ -273,17 +313,26 @@ def krr_r2(features, targets, cfg: KrrConfig = KrrConfig()):
     # inner validation for the ridge parameter (shared across blocks)
     K_ii = _rbf(x[itr], x[itr], gamma)
     K_vi = _rbf(x[iva], x[itr], gamma)
+    diag = K_ii.diagonal().copy()
+    # the factor reads the upper triangle, and the kernel's two triangles can
+    # differ in the last bit (BLAS edge tiles round differently), so the
+    # lower one takes the upper's values; _mirror rebuilds the upper from it
+    # after each factorization
+    _mirror(K_ii.T, diag)
     best_lam, best_err = None, np.inf
-    for lam in cfg.ridge_grid:
-        pred = _fit_predict(K_ii.copy(), K_vi, y_all[itr] - mu, lam)
+    for j, lam in enumerate(cfg.ridge_grid):
+        if j:
+            _mirror(K_ii, diag)
+        pred = _fit_predict(K_ii, K_vi, y_all[itr] - mu, lam)
         err = float(np.mean((y_all[iva] - mu - pred) ** 2))
         if err < best_err:
             best_lam, best_err = lam, err
     del K_ii, K_vi
 
     K_tt = _rbf(x[tr], x[tr], gamma)
-    K_et = _rbf(x[te], x[tr], gamma)
-    pred = _fit_predict(K_tt, K_et, y_all[tr] - mu, best_lam) + mu
+    alpha = _solve(K_tt, y_all[tr] - mu, best_lam)
+    del K_tt
+    pred = _rbf(x[te], x[tr], gamma) @ alpha + mu
 
     out = {}
     col = 0

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import CapacityError, DomainError, SampleSizeError, SingularityError
+from .metrics import median_distance
 from .mixing import MixingMap, monotone_solve
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -273,23 +274,29 @@ class EmpiricalDarmois(DarmoisMap):
             if i == 0:
                 self._h_cond.append(None)
                 continue
-            sub = ref[:: max(1, m // 500), :i]
-            d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=-1)
-            med = float(np.sqrt(np.median(d2[np.triu_indices(sub.shape[0], k=1)])))
+            med = median_distance(ref[:: max(1, m // 500), :i])
             h = max(med, 1e-3) * m ** (-1.0 / (4 + i))
             self._h_cond.append(h)
 
-    def _stage(self, i, x, deriv=None):
-        """Stage-i conditional CDF values and, with ``deriv="own"``, their
-        derivative in coordinate i, or with ``deriv="full"``, their gradient."""
+    def _weights(self, i, x):
+        """Stage-i kernel weights of the reference points, their row sums
+        and the conditioning differences (None at stage 0) they come from;
+        all depend on the conditioning coordinates ``x[:, :i]`` only."""
         if i == 0:
-            w = np.ones((x.shape[0], self.ref.shape[0]))
+            w, diff = np.ones((x.shape[0], self.ref.shape[0])), None
         else:
             diff = x[:, None, :i] - self.ref[None, :, :i]
             w = np.exp(-0.5 * np.sum(diff * diff, axis=-1) / self._h_cond[i] ** 2)
+        return w, np.sum(w, axis=1), diff
+
+    def _stage(self, i, x, deriv=None, weights=None):
+        """Stage-i conditional CDF values and, with ``deriv="own"``, their
+        derivative in coordinate i, or with ``deriv="full"``, their gradient.
+        ``weights`` is ``_weights(i, x)[:2]`` when the caller already has it;
+        ``deriv="full"`` needs the differences, so it takes none."""
+        w, B, diff = self._weights(i, x) if weights is None else (*weights, None)
         zi = (x[:, i, None] - self.ref[None, :, i]) / self._h_own[i]
         Phi = ndtr(zi)
-        B = np.sum(w, axis=1)
         A = np.sum(w * Phi, axis=1)
         val = A / B
         if deriv is None:
@@ -330,18 +337,21 @@ class EmpiricalDarmois(DarmoisMap):
         _check_open_cube(u)
         x = np.zeros((u.shape[0], self.n))
         for i in range(self.n):
+            # x[:, :i] is solved already, so the weights are fixed while
+            # stage i is; the differences they come from are dropped here
+            weights = self._weights(i, x)[:2]
             lo = np.full(u.shape[0], self.ref[:, i].min() - 12 * self._h_own[i])
             hi = np.full(u.shape[0], self.ref[:, i].max() + 12 * self._h_own[i])
             for bound, outside in ((lo, np.less), (hi, np.greater)):
                 x[:, i] = bound
-                if np.any(outside(u[:, i], self._stage(i, x)[0])):
+                if np.any(outside(u[:, i], self._stage(i, x, weights=weights)[0])):
                     raise DomainError(
                         f"stage {i} quantile outside the estimator's support"
                     )
 
             def stage(xi):
                 x[:, i] = xi
-                return self._stage(i, x, deriv="own")
+                return self._stage(i, x, deriv="own", weights=weights)
 
             x[:, i] = monotone_solve(stage, u[:, i],
                                      np.full(u.shape[0], np.median(self.ref[:, i])),

@@ -106,6 +106,54 @@ class TestAssignment:
             metrics._max_weight_assignment(C)
 
 
+def _reference_krr_r2(features, targets, cfg, val_preds):
+    """krr_r2 in the form it had before the inner search factored the inner
+    kernel in place: a copy of the kernel per ridge value, full validation
+    and test kernels, and the bandwidth from the (k, k, d) difference
+    tensor.  Kept to check that the one-kernel form is bitwise equal.
+    Appends each ridge value's validation prediction to ``val_preds``."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    def fit_predict(K_tr, K_te, y_tr, lam):
+        K_tr.flat[::K_tr.shape[0] + 1] += lam
+        factor = cho_factor(K_tr.T, lower=True, overwrite_a=True, check_finite=False)
+        return K_te @ cho_solve(factor, y_tr, check_finite=False)
+
+    x = np.asarray(features, dtype=float)
+    blocks = targets if isinstance(targets, dict) else {"target": targets}
+    blocks = {k: np.atleast_2d(np.asarray(v, dtype=float).T).T for k, v in blocks.items()}
+    rng = spawn(cfg.seed, "krr")
+    m = x.shape[0]
+    perm = rng.permutation(m)
+    n_train = int(round(cfg.split_fraction * m))
+    tr, te = perm[:n_train], perm[n_train:]
+    n_inner = int(round(cfg.split_fraction * n_train))
+    itr, iva = tr[:n_inner], tr[n_inner:]
+    k = min(n_train, max(2, cfg.bandwidth_pairs))
+    sub = x[tr][rng.choice(n_train, size=k, replace=False)]
+    d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=-1)
+    gamma = float(max(np.sqrt(np.median(d2[np.triu_indices(k, k=1)])), 1e-12))
+    y_all = np.concatenate([blocks[k] for k in blocks], axis=1)
+    mu = y_all[tr].mean(axis=0)
+    K_ii = metrics._rbf(x[itr], x[itr], gamma)
+    K_vi = metrics._rbf(x[iva], x[itr], gamma)
+    best_lam, best_err = None, np.inf
+    for lam in cfg.ridge_grid:
+        pred = fit_predict(K_ii.copy(), K_vi, y_all[itr] - mu, lam)
+        val_preds.append(pred)
+        err = float(np.mean((y_all[iva] - mu - pred) ** 2))
+        if err < best_err:
+            best_lam, best_err = lam, err
+    K_tt = metrics._rbf(x[tr], x[tr], gamma)
+    K_et = metrics._rbf(x[te], x[tr], gamma)
+    pred = fit_predict(K_tt, K_et, y_all[tr] - mu, best_lam) + mu
+    out, col = {}, 0
+    for k, v in blocks.items():
+        out[k] = float(np.mean(metrics._r2(v[te], pred[:, col:col + v.shape[1]])))
+        col += v.shape[1]
+    return out if isinstance(targets, dict) else out["target"]
+
+
 class TestKrr:
     def test_recovers_near_identity(self):
         rng = spawn(6, "x")
@@ -166,10 +214,66 @@ class TestKrr:
         with pytest.raises(ValueError):
             metrics.KrrConfig(**kwargs)
 
+    # (rows, features, target columns per block, KrrConfig arguments); no
+    # row count of a kernel part is a multiple of 256 except in the first
+    _PROBLEMS = [
+        (2560, 3, (3, 3), {}),
+        (200, 2, (1,), {}),
+        (777, 3, (3, 3), {"seed": 4}),
+        (1000, 1, (2,), {"split_fraction": 0.7}),
+        (1313, 4, (1, 2), {"seed": 9, "ridge_grid": (1e-4, 1e-2, 1.0)}),
+        (901, 6, (1,), {"bandwidth_pairs": 300}),
+        (2111, 3, (3, 3), {"seed": 2, "split_fraction": 0.75}),
+    ]
+
+    @pytest.mark.parametrize("rows,d,widths,kwargs", _PROBLEMS)
+    def test_equals_the_copy_per_ridge_reference(self, rows, d, widths, kwargs,
+                                                 monkeypatch):
+        rng = spawn(rows, "x")
+        x = rng.standard_normal((rows, d))
+        blocks = {f"b{j}": np.tanh(x[:, :w] * (j + 1)) + 0.1 * rng.standard_normal((rows, w))
+                  for j, w in enumerate(widths)}
+        targets = blocks if len(widths) > 1 else blocks["b0"]
+        cfg = metrics.KrrConfig(**kwargs)
+        got, expected = [], []
+        fit_predict = metrics._fit_predict
+
+        def recording(*args):
+            got.append(fit_predict(*args))
+            return got[-1]
+
+        monkeypatch.setattr(metrics, "_fit_predict", recording)
+        assert metrics.krr_r2(x, targets, cfg) == _reference_krr_r2(x, targets, cfg, expected)
+        # a last-bit change in a validation prediction rarely moves the
+        # chosen ridge value, so the R^2 alone would not show it
+        assert len(got) == len(expected)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+    @pytest.mark.parametrize("fraction", [0.999, 0.001])
+    def test_empty_split_part_rejected(self, fraction):
+        x = spawn(16, "x").standard_normal((200, 2))
+        with pytest.raises(SampleSizeError, match="inner train .* test"):
+            metrics.krr_r2(x, x[:, :1], metrics.KrrConfig(split_fraction=fraction))
+
+    def test_peak_memory_near_one_training_kernel(self):
+        # the training kernel (m_train^2 entries) and one row block of
+        # temporaries while it is built; measured 1.139 x 8 m_train^2 bytes
+        # at 2,500 rows (1.445 with a kernel copy per ridge value)
+        rng = spawn(11, "x")
+        x = rng.standard_normal((2500, 3))
+        y = np.tanh(x[:, :2])
+        m_train = int(round(metrics.KrrConfig().split_fraction * 2500))
+        tracemalloc.start()
+        try:
+            metrics.krr_r2(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 8 * m_train ** 2
+
     def test_peak_memory_within_two_training_kernels(self):
-        # the inner search holds the inner kernel and the copy a fit consumes
-        # (0.64 m_train^2 entries each) and the validation kernel (0.16):
-        # 1.44 x 8 m_train^2 bytes plus small temporaries
+        # the training kernel (m_train^2 entries) plus row-block temporaries:
+        # about 1.14 x 8 m_train^2 bytes
         rng = spawn(11, "x")
         x = rng.standard_normal((2500, 3))
         y = np.tanh(x[:, :2])
@@ -198,6 +302,31 @@ class TestKrrSolve:
         assert np.array_equal(metrics._rbf(a, b, 0.7),
                               self._broadcast_rbf(a, b, 0.7))
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_mirror_of_the_transpose_copies_the_upper_triangle_down(self, d):
+        # krr_r2 gives the inner kernel's lower triangle the upper one's
+        # values, since the factor reads the upper one and an RBF kernel of a
+        # point set with itself need not be exactly symmetric (BLAS edge tiles)
+        a = spawn(20 + d, "x").standard_normal((1583, d))
+        K = metrics._rbf(a, a, 0.9)
+        upper, diag = np.triu(K), K.diagonal().copy()
+        metrics._mirror(K.T, diag)
+        assert np.array_equal(K, K.T)
+        assert np.array_equal(np.triu(K), upper)
+
+    @pytest.mark.parametrize("m", [40, 601])
+    def test_mirror_rebuilds_kernel_plus_ridge_after_factoring(self, m):
+        x = spawn(27, "x").standard_normal((m, 3))
+        K = metrics._rbf(x, x, 1.0)
+        K.flat[::m + 1] += 1e-3
+        diag = K.diagonal().copy()
+        metrics._mirror(K.T, diag)
+        expected = K.copy()
+        metrics._factor(K)
+        assert not np.array_equal(K, expected)
+        metrics._mirror(K, diag)
+        assert np.array_equal(K, expected)
+
     @pytest.mark.parametrize("lam", metrics.KrrConfig().ridge_grid)
     def test_fit_predict_matches_solve(self, lam):
         rng = spawn(13, "x")
@@ -222,6 +351,20 @@ class TestKrrSolve:
         floored = np.ones((m, m)) + 1e-6 * m * np.eye(m)
         np.testing.assert_allclose(got, K_te @ np.linalg.solve(floored, y),
                                    rtol=1e-8)
+
+
+class TestMedianDistance:
+    @pytest.mark.parametrize("k,d", [(2, 1), (3, 2), (101, 3), (1000, 3), (250, 6)])
+    def test_equals_the_broadcast_form(self, k, d):
+        x = spawn(30 + k, "x").standard_normal((k, d))
+        d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+        expected = float(np.sqrt(np.median(d2[np.triu_indices(k, k=1)])))
+        assert metrics.median_distance(x) == expected
+
+    def test_strided_view(self):
+        x = spawn(31, "x").standard_normal((900, 3))
+        assert metrics.median_distance(x[::3, :2]) == metrics.median_distance(
+            np.ascontiguousarray(x[::3, :2]))
 
 
 class TestAmariIndex:

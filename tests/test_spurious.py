@@ -130,6 +130,35 @@ class TestEmpiricalDarmois:
                 np.full(40, d.ref[:, i].max() + pad), 1e-10, 200, "stage")
         assert np.array_equal(d.inverse(u), expected)
 
+    def test_inverse_equals_the_loop_that_recomputes_the_weights(self):
+        # the inverse computes each stage's weights once; here every Newton
+        # step recomputes them from x[:, :i]
+        x = spawn(12, "x").standard_normal((1500, 3))
+        d = spurious.darmois_build(x, mode="empirical")
+        u = d.forward(spawn(13, "x").standard_normal((300, 3)))
+        expected = np.zeros_like(u)
+        for i in range(3):
+            def stage(xi):
+                expected[:, i] = xi
+                return d._stage(i, expected, deriv="own")
+
+            pad = 12 * d._h_own[i]
+            expected[:, i] = mixing.monotone_solve(
+                stage, u[:, i], np.full(300, np.median(d.ref[:, i])),
+                np.full(300, d.ref[:, i].min() - pad),
+                np.full(300, d.ref[:, i].max() + pad), 1e-10, 200, "stage")
+        assert np.array_equal(d.inverse(u), expected)
+
+    def test_conditioning_bandwidth_equals_the_broadcast_median(self):
+        x = spawn(14, "x").standard_normal((1700, 3))
+        d = spurious.darmois_build(x, mode="empirical")
+        m = d.ref.shape[0]
+        for i in (1, 2):
+            sub = d.ref[:: max(1, m // 500), :i]
+            d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=-1)
+            med = float(np.sqrt(np.median(d2[np.triu_indices(sub.shape[0], k=1)])))
+            assert d._h_cond[i] == max(med, 1e-3) * m ** (-1.0 / (4 + i))
+
     def test_sample_size_guard(self):
         with pytest.raises(SampleSizeError):
             spurious.darmois_build(np.zeros((500, 2)), mode="empirical")
