@@ -486,7 +486,7 @@ def _bss_cell(args):
                               batch_size=cfg["batch_size"], ima_weight=lam,
                               patience=15, seed=seed)
     res = flow_mod.train_mle(fl, x, tc)
-    z, _, _ = res.model.encode(x)
+    z, _, _, _ = res.model.encode(x)
     score, _ = metrics.mcc(z, s)
     return [seed, float(lam), score, res.best_val], res.history, \
         res.model.to_dict()
@@ -562,7 +562,7 @@ def _crl_cell(args):
     rows = []
     for cand in cands:
         cand, per_env, total = multienv.fit_candidate(cand, data, tc)
-        z, _, _ = cand.flow.encode(x_all)
+        z, _, _, _ = cand.flow.encode(x_all)
         score, _ = metrics.mcc(z, v_all)
         fitted.append((cand, per_env, total))
         rows.append([seed, cand.cid,

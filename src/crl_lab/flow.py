@@ -1,13 +1,21 @@
 """A small trainable normalizing flow and the training objectives.
 
 The flow is a stack of affine coupling layers (tanh conditioner MLPs, scale
-squashed through a bounded tanh), fixed permutations, an element-wise affine
-layer and an optional sigmoid head.  Likelihood gradients are hand-written
-reverse-mode for this fixed layer algebra.  The IMA regularizer depends on
-the encoder Jacobian, which a forward-mode recursion carries through the
-layers; its exact gradient is the reverse sweep of that recursion
-(:func:`cima_value_and_grad`).  :func:`cima_fd_grad` keeps the central
-finite-difference gradient as an independent reference.
+squashed through a bounded tanh), fixed permutations and an element-wise
+affine layer.  Every layer has one encoder step and one reverse step:
+
+- ``enc(v, theta, J=None, want_cache=False)`` maps ``v`` (m, n) to
+  ``(u, ld, J_out, cache)``: the layer's encoder output, its per-sample
+  log|det| and, given the running encoder Jacobian ``J`` = dv/dx
+  (m, n, n), ``J_out`` = du/dx (else None);
+- ``backward(cache, du, dld, dJ=None)`` turns dL/du, dL/dld (m,) and, for
+  a Jacobian-carrying step, dL/dJ_out into ``(dv, dJ_in, dtheta)``.
+
+The likelihood uses the values and log-dets.  The IMA regularizer depends on
+the encoder Jacobian, which the same steps carry forward through the layers;
+its exact gradient is the reverse sweep of that recursion, run with
+``dld = 0`` (:func:`cima_value_and_grad`).  :func:`cima_fd_grad` keeps the
+central finite-difference gradient as an independent reference.
 
 Every trainer (:func:`train_mle`, :func:`train_align_invertible`,
 :func:`train_align_maxent` and ``multienv.fit_candidate``) supplies only its
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrast import RESOLUTION, local_ima_from_jacobian
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .rng import spawn
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -46,13 +54,12 @@ class CondMlp:
                             zip(self.widths[:-1], self.widths[1:]))
 
     def unpack(self, theta):
-        """Slice a (..., P) parameter array into (W, b) views per layer."""
-        lead = theta.shape[:-1]
+        """Slice a parameter vector into (W, b) views per layer."""
         out, off = [], 0
         for i, o in zip(self.widths[:-1], self.widths[1:]):
-            W = theta[..., off:off + o * i].reshape(*lead, o, i)
+            W = theta[off:off + o * i].reshape(o, i)
             off += o * i
-            b = theta[..., off:off + o]
+            b = theta[off:off + o]
             off += o
             out.append((W, b))
         return out
@@ -73,90 +80,60 @@ class CondMlp:
             off += o
         return theta
 
-    def forward(self, x, theta, want_cache=False):
-        layers = self.unpack(theta)
-        hs = [x]
-        h = x
-        for l, (W, b) in enumerate(layers):
-            a = h @ W.T + b
-            h = np.tanh(a) if l < len(layers) - 1 else a
-            hs.append(h)
-        cache = (hs, layers) if want_cache else None
-        return h, cache
-
-    def backward(self, cache, dout):
-        hs, layers = cache
-        dtheta = np.empty(self.n_params)
-        off = self.n_params
-        dh = dout
-        for l in reversed(range(len(layers))):
-            W, _ = layers[l]
-            h_in, h_out = hs[l], hs[l + 1]
-            da = dh if l == len(layers) - 1 else dh * (1.0 - h_out * h_out)
-            o, i = W.shape
-            off -= o
-            dtheta[off:off + o] = da.sum(axis=0)
-            off -= o * i
-            dtheta[off:off + o * i] = (da.T @ h_in).ravel()
-            dh = da @ W
-        return dh, dtheta
-
-    def value_and_input_jacobian(self, x, theta, want_cache=False):
-        """Output values (..., m, out) and d out / d in (..., m, out, in).
-
-        x: (..., m, in); theta: (..., P).  A leading axis stacks parameter
-        vectors; the cache (unstacked use only) feeds
-        :meth:`input_jacobian_backward`.
-        """
+    def forward(self, x, theta, want_jac=False, want_cache=False):
+        """Outputs (m, out) and, with ``want_jac``, d out / d in (m, out, in)
+        (else None), plus the cache :meth:`backward` reads."""
         layers = self.unpack(theta)
         hs, JAs, Jhs = [x], [], [None]
         h, Jh = x, None
         for l, (W, b) in enumerate(layers):
-            a = h @ W.swapaxes(-1, -2) + b[..., None, :]
-            # at the input layer Jh = I, so JA = W (broadcast over rows)
-            JA = W[..., None, :, :] if Jh is None else W[..., None, :, :] @ Jh
-            if l < len(layers) - 1:
-                h = np.tanh(a)
-                Jh = (1.0 - h * h)[..., None] * JA
-            else:
-                h, Jh = a, JA
+            a = h @ W.T + b
+            last = l == len(layers) - 1
+            h = a if last else np.tanh(a)
             hs.append(h)
-            JAs.append(JA)
-            Jhs.append(Jh)
+            if want_jac:
+                # at the input layer Jh = I, so JA = W (broadcast over rows)
+                JA = W[None] if Jh is None else W @ Jh
+                Jh = JA if last else (1.0 - h * h)[..., None] * JA
+                JAs.append(JA)
+                Jhs.append(Jh)
         cache = (hs, JAs, Jhs, layers) if want_cache else None
         return h, Jh, cache
 
-    def input_jacobian_backward(self, cache, dout, dJ):
-        """Reverse step of :meth:`value_and_input_jacobian` for one parameter
-        vector: given dL/d out (m, out) and dL/d Jacobian (m, out, in),
-        returns dL/d in (m, in) and dL/d theta (P,)."""
+    def backward(self, cache, dout, dJ=None):
+        """dL/d in (m, in) and dL/d theta (P,) from dL/d out (m, out) and,
+        after a ``want_jac`` forward, dL/d Jacobian (m, out, in)."""
         hs, JAs, Jhs, layers = cache
         dtheta = np.empty(self.n_params)
         off = self.n_params
         dh = dout
         for l in reversed(range(len(layers))):
             W, _ = layers[l]
+            h = hs[l + 1]
             if l == len(layers) - 1:
                 da, dJA = dh, dJ
+            elif dJ is None:
+                da = dh * (1.0 - h * h)
             else:
                 # h = tanh(a) and Jh = (1 - h^2) JA; d(1 - h^2)/da is
                 # tanh'' = -2 tanh (1 - tanh^2)
-                h = hs[l + 1]
                 q = 1.0 - h * h
                 dq = (dJ * JAs[l]).sum(axis=-1)
                 da = q * (dh - 2.0 * h * dq)
                 dJA = q[..., None] * dJ
             o, i = W.shape
-            # JA = W @ Jh, with Jh = I at the input layer
-            dW = da.T @ hs[l] + (dJA.sum(axis=0) if l == 0 else
-                                 np.einsum("moi,mhi->oh", dJA, Jhs[l]))
+            dW = da.T @ hs[l]
+            if dJ is not None:
+                # JA = W @ Jh, with Jh = I at the input layer
+                dW = dW + (dJA.sum(axis=0) if l == 0 else
+                           np.einsum("moi,mhi->oh", dJA, Jhs[l]))
+                if l:
+                    dJ = W.T @ dJA
             off -= o
             dtheta[off:off + o] = da.sum(axis=0)
             off -= o * i
             dtheta[off:off + o * i] = dW.ravel()
             dh = da @ W
-            if l:
-                dJ = W.T @ dJA
         return dh, dtheta
 
 
@@ -186,92 +163,70 @@ class CouplingLayer:
     def init_params(self, rng):
         return self.mlp.init_params(rng)
 
-    def _scale_shift(self, h, theta, want_cache=False):
-        out, cache = self.mlp.forward(h, theta, want_cache)
-        raw, t = out[:, :self.k_chg], out[:, self.k_chg:]
-        tr = np.tanh(raw)
-        return self.s_max * tr, t, tr, cache
-
-    def enc(self, v, theta, want_cache=False):
-        s, t, tr, mcache = self._scale_shift(v[:, self.keep_idx], theta, want_cache)
-        ens = np.exp(-s)
-        u = v.copy()
-        u_chg = (v[:, self.chg_idx] - t) * ens
-        u[:, self.chg_idx] = u_chg
-        ld = -s.sum(axis=1)
-        cache = (mcache, tr, ens, u_chg) if want_cache else None
-        return u, ld, cache
-
-    def enc_backward(self, cache, du, dld, theta):
-        mcache, tr, ens, u_chg = cache
-        du_chg = du[:, self.chg_idx]
-        dv_chg = du_chg * ens
-        ds = -du_chg * u_chg - dld[:, None]
-        dt = -dv_chg
-        draw = ds * (self.s_max * (1.0 - tr * tr))
-        dh, dtheta = self.mlp.backward(mcache, np.concatenate([draw, dt], axis=1))
-        dv = np.zeros_like(du)
-        dv[:, self.chg_idx] = dv_chg
-        dv[:, self.keep_idx] = du[:, self.keep_idx] + dh
-        return dv, dtheta
-
-    def dec(self, u, theta):
-        s, t, _, _ = self._scale_shift(u[:, self.keep_idx], theta)
-        v = u.copy()
-        v[:, self.chg_idx] = u[:, self.chg_idx] * np.exp(s) + t
-        return v
-
-    def enc_q(self, v, theta, J, want_cache=False):
-        """Encoder values and the running Jacobian J = d v / d x pushed
-        through this layer; leading axes of v, theta and J stack parameter
-        vectors."""
+    def enc(self, v, theta, J=None, want_cache=False):
         k = self.k_chg
-        out, Jmlp, mcache = self.mlp.value_and_input_jacobian(
-            v[..., self.keep_idx], theta, want_cache)
-        raw, t = out[..., :k], out[..., k:]
-        tr = np.tanh(raw)
+        out, Jmlp, mcache = self.mlp.forward(v[:, self.keep_idx], theta,
+                                             J is not None, want_cache)
+        tr = np.tanh(out[:, :k])
         s = self.s_max * tr
         ens = np.exp(-s)
         u = v.copy()
-        u_chg = (v[..., self.chg_idx] - t) * ens
-        u[..., self.chg_idx] = u_chg
-        ds_draw = self.s_max * (1.0 - tr * tr)
-        Jraw, Jt = Jmlp[..., :k, :], Jmlp[..., k:, :]
-        M = -ens[..., None] * Jt - (u_chg * ds_draw)[..., None] * Jraw
-        J_keep, J_chg = J[..., self.keep_idx, :], J[..., self.chg_idx, :]
-        Jnew = J.copy()
-        Jnew[..., self.chg_idx, :] = ens[..., None] * J_chg + M @ J_keep
-        cache = ((mcache, tr, ds_draw, ens, u_chg, Jmlp, M, J_keep, J_chg)
+        u_chg = (v[:, self.chg_idx] - out[:, k:]) * ens
+        u[:, self.chg_idx] = u_chg
+        ld = -s.sum(axis=1)
+        M = J_keep = J_chg = None
+        if J is not None:
+            # d u_chg = ens d v_chg + M d v_keep
+            ds_draw = self.s_max * (1.0 - tr * tr)
+            M = (-ens[..., None] * Jmlp[:, k:]
+                 - (u_chg * ds_draw)[..., None] * Jmlp[:, :k])
+            J_keep, J_chg = J[:, self.keep_idx, :], J[:, self.chg_idx, :]
+            J = J.copy()
+            J[:, self.chg_idx, :] = ens[..., None] * J_chg + M @ J_keep
+        cache = ((mcache, tr, ens, u_chg, Jmlp, M, J_keep, J_chg)
                  if want_cache else None)
-        return u, Jnew, cache
+        return u, ld, J, cache
 
-    def enc_q_backward(self, cache, du, dJ):
-        """Reverse step of :meth:`enc_q` for one parameter vector: returns
-        (dL/dv, dL/dJ_in, dL/dtheta) from dL/du and dL/dJ_out."""
-        mcache, tr, ds_draw, ens, u_chg, Jmlp, M, J_keep, J_chg = cache
+    def backward(self, cache, du, dld, dJ=None):
+        mcache, tr, ens, u_chg, Jmlp, M, J_keep, J_chg = cache
         k = self.k_chg
-        dJ_chg = dJ[:, self.chg_idx, :]
-        # M = -ens Jt - u_chg s' Jraw with s' = ds/draw = s_max (1 - tr^2)
-        dM = dJ_chg @ J_keep.swapaxes(-1, -2)
-        p = (Jmlp.reshape(-1, 2, k, Jmlp.shape[-1]) * dM[:, None]).sum(axis=-1)
-        p_raw, p_t = p[:, 0], p[:, 1]
-        du_chg = du[:, self.chg_idx] - ds_draw * p_raw
-        dens = (dJ_chg * J_chg).sum(axis=-1) - p_t
-        ds = -du_chg * u_chg - ens * dens
-        # ds'/draw = -2 s_max tr (1 - tr^2): the tanh'' term of the scale
-        draw = (1.0 - tr * tr) * self.s_max * (ds + 2.0 * tr * u_chg * p_raw)
-        dout = np.concatenate([draw, -du_chg * ens], axis=1)
-        coef = np.concatenate([u_chg * ds_draw, ens], axis=1)
-        dJmlp = -coef[..., None] * np.concatenate([dM, dM], axis=1)
-        dh, dtheta = self.mlp.input_jacobian_backward(mcache, dout, dJmlp)
+        ds_draw = self.s_max * (1.0 - tr * tr)
+        du_chg = du[:, self.chg_idx]
+        dJmlp = dJ_in = None
+        if dJ is not None:
+            dJ_chg = dJ[:, self.chg_idx, :]
+            # M = -ens Jt - u_chg s' Jraw with s' = ds/draw = s_max (1 - tr^2)
+            dM = dJ_chg @ J_keep.swapaxes(-1, -2)
+            p = (Jmlp.reshape(-1, 2, k, Jmlp.shape[-1]) * dM[:, None]).sum(axis=-1)
+            p_raw, p_t = p[:, 0], p[:, 1]
+            du_chg = du_chg - ds_draw * p_raw
+            coef = np.concatenate([u_chg * ds_draw, ens], axis=1)
+            dJmlp = -coef[..., None] * np.concatenate([dM, dM], axis=1)
+            dJ_in = np.empty_like(dJ)
+            dJ_in[:, self.chg_idx, :] = ens[..., None] * dJ_chg
+            dJ_in[:, self.keep_idx, :] = (dJ[:, self.keep_idx, :]
+                                          + M.swapaxes(-1, -2) @ dJ_chg)
+        dv_chg = du_chg * ens
+        ds = -du_chg * u_chg - dld[:, None]
+        if dJ is not None:
+            # through ens, and ds'/draw = -2 s_max tr (1 - tr^2): the tanh''
+            # term of the scale
+            ds = (ds - ens * ((dJ_chg * J_chg).sum(axis=-1) - p_t)
+                  + 2.0 * tr * u_chg * p_raw)
+        dout = np.concatenate([ds * ds_draw, -dv_chg], axis=1)
+        dh, dtheta = self.mlp.backward(mcache, dout, dJmlp)
         dv = np.empty_like(du)
-        dv[:, self.chg_idx] = du_chg * ens
+        dv[:, self.chg_idx] = dv_chg
         dv[:, self.keep_idx] = du[:, self.keep_idx] + dh
-        dJ_in = np.empty_like(dJ)
-        dJ_in[:, self.chg_idx, :] = ens[..., None] * dJ_chg
-        dJ_in[:, self.keep_idx, :] = (dJ[:, self.keep_idx, :]
-                                      + M.swapaxes(-1, -2) @ dJ_chg)
         return dv, dJ_in, dtheta
+
+    def dec(self, u, theta):
+        k = self.k_chg
+        out, _, _ = self.mlp.forward(u[:, self.keep_idx], theta)
+        s = self.s_max * np.tanh(out[:, :k])
+        v = u.copy()
+        v[:, self.chg_idx] = u[:, self.chg_idx] * np.exp(s) + out[:, k:]
+        return v
 
     def descriptor(self):
         return {"layer": "coupling", "n": self.n,
@@ -294,20 +249,16 @@ class PermLayer:
     def init_params(self, rng):
         return np.empty(0)
 
-    def enc(self, v, theta, want_cache=False):
-        return v[:, self.inv], np.zeros(v.shape[0]), None
+    def enc(self, v, theta, J=None, want_cache=False):
+        return (v[:, self.inv], np.zeros(v.shape[0]),
+                None if J is None else J[:, self.inv, :], None)
 
-    def enc_backward(self, cache, du, dld, theta):
-        return du[:, self.perm], np.empty(0)
+    def backward(self, cache, du, dld, dJ=None):
+        return (du[:, self.perm], None if dJ is None else dJ[:, self.perm, :],
+                np.empty(0))
 
     def dec(self, u, theta):
         return u[:, self.perm]
-
-    def enc_q(self, v, theta, J, want_cache=False):
-        return v[..., self.inv], J[..., self.inv, :], None
-
-    def enc_q_backward(self, cache, du, dJ):
-        return du[:, self.perm], dJ[:, self.perm, :], np.empty(0)
 
     def descriptor(self):
         return {"layer": "permutation", "perm": list(self.perm)}
@@ -323,84 +274,30 @@ class AffineLayer:
     def init_params(self, rng):
         return np.zeros(2 * self.n)
 
-    def enc(self, v, theta, want_cache=False):
+    def enc(self, v, theta, J=None, want_cache=False):
         la, b = theta[:self.n], theta[self.n:]
         ena = np.exp(-la)
         u = (v - b) * ena
         ld = np.full(v.shape[0], -float(la.sum()))
-        cache = (ena, u) if want_cache else None
-        return u, ld, cache
+        if J is not None:
+            J = ena[:, None] * J
+        return u, ld, J, (ena, u, J) if want_cache else None
 
-    def enc_backward(self, cache, du, dld, theta):
-        ena, u = cache
+    def backward(self, cache, du, dld, dJ=None):
+        ena, u, J = cache
         dv = du * ena
         dla = (-du * u).sum(axis=0) - dld.sum()
-        db = -dv.sum(axis=0)
-        return dv, np.concatenate([dla, db])
+        if dJ is not None:
+            dla = dla - (dJ * J).sum(axis=(0, 2))
+            dJ = ena[:, None] * dJ
+        return dv, dJ, np.concatenate([dla, -dv.sum(axis=0)])
 
     def dec(self, u, theta):
         la, b = theta[:self.n], theta[self.n:]
         return u * np.exp(la) + b
 
-    def enc_q(self, v, theta, J, want_cache=False):
-        la = theta[..., None, :self.n]
-        b = theta[..., None, self.n:]
-        ena = np.exp(-la)
-        u = (v - b) * ena
-        Jnew = ena[..., None] * J
-        return u, Jnew, (ena, u, Jnew) if want_cache else None
-
-    def enc_q_backward(self, cache, du, dJ):
-        ena, u, Jnew = cache
-        dv = du * ena
-        dla = -(du * u).sum(axis=0) - (dJ * Jnew).sum(axis=(0, 2))
-        return dv, ena[..., None] * dJ, np.concatenate([dla, -dv.sum(axis=0)])
-
     def descriptor(self):
         return {"layer": "affine", "n": self.n}
-
-
-class SigmoidLayer:
-    """Optional head mapping the generative output into (0,1)^n."""
-
-    def __init__(self, n):
-        self.n = n
-        self.n_params = 0
-
-    def init_params(self, rng):
-        return np.empty(0)
-
-    def enc(self, v, theta, want_cache=False):
-        if np.any((v <= 0) | (v >= 1)):
-            raise DomainError("sigmoid head expects data strictly inside (0,1)")
-        u = np.log(v) - np.log1p(-v)
-        g = v * (1.0 - v)
-        ld = -np.log(g).sum(axis=1)
-        cache = (v, g) if want_cache else None
-        return u, ld, cache
-
-    def enc_backward(self, cache, du, dld, theta):
-        v, g = cache
-        dv = du / g - dld[:, None] * (1.0 - 2.0 * v) / g
-        return dv, np.empty(0)
-
-    def dec(self, u, theta):
-        return 1.0 / (1.0 + np.exp(-u))
-
-    def enc_q(self, v, theta, J, want_cache=False):
-        g = v * (1.0 - v)
-        u = np.log(v) - np.log1p(-v)
-        Jnew = J / g[..., None]
-        return u, Jnew, (v, g, Jnew) if want_cache else None
-
-    def enc_q_backward(self, cache, du, dJ):
-        v, g, Jnew = cache
-        # each row of J is divided by g = v (1 - v), and g' = 1 - 2v
-        dv = (du - (1.0 - 2.0 * v) * (dJ * Jnew).sum(axis=-1)) / g
-        return dv, dJ / g[..., None], np.empty(0)
-
-    def descriptor(self):
-        return {"layer": "sigmoid", "n": self.n}
 
 
 _LAYER_KINDS = {
@@ -409,7 +306,6 @@ _LAYER_KINDS = {
                                         tuple(d["hidden"]), d["s_max"]),
     "permutation": lambda d: PermLayer(d["perm"]),
     "affine": lambda d: AffineLayer(d["n"]),
-    "sigmoid": lambda d: SigmoidLayer(d["n"]),
 }
 
 
@@ -438,7 +334,7 @@ class FlowModel:
     # -- parameters ----------------------------------------------------------
 
     def _slice(self, theta, i):
-        return theta[..., self.offsets[i]:self.offsets[i + 1]]
+        return theta[self.offsets[i]:self.offsets[i + 1]]
 
     def init_params(self, seed):
         rng = spawn(seed, "flow-init")
@@ -451,28 +347,32 @@ class FlowModel:
 
     # -- evaluation ------------------------------------------------------------
 
-    def encode(self, x, theta=None, want_cache=False):
-        """Data -> latent; returns (z, per-sample log|det J_encode|, caches)."""
+    def encode(self, x, theta=None, want_cache=False, want_jac=False):
+        """Data -> latent: returns (z, per-sample log|det J_encode|, J,
+        caches), where J is the encoder Jacobian dz/dx (m, n, n) with
+        ``want_jac`` and None without."""
         theta = self.theta if theta is None else theta
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        ld = np.zeros(x.shape[0])
+        m = x.shape[0]
+        ld = np.zeros(m)
+        J = (np.broadcast_to(np.eye(self.n), (m, self.n, self.n)) if want_jac
+             else None)
         caches = [None] * len(self.layers)
         cur = x
         for i in reversed(range(len(self.layers))):
-            cur, ld_i, caches[i] = self.layers[i].enc(
-                cur, self._slice(theta, i), want_cache)
+            cur, ld_i, J, caches[i] = self.layers[i].enc(
+                cur, self._slice(theta, i), J, want_cache)
             ld = ld + ld_i
-        return cur, ld, caches
+        return cur, ld, J, caches
 
-    def encode_backward(self, caches, dz, dld, theta=None):
-        """Gradient of a scalar loss wrt theta, given dL/dz and dL/dlogdet."""
-        theta = self.theta if theta is None else theta
+    def encode_backward(self, caches, dz, dld, dJ=None):
+        """Gradient of a scalar loss wrt theta, given dL/dz, dL/dlogdet and,
+        after a ``want_jac`` encode, dL/dJ."""
         parts = [None] * len(self.layers)
         d = dz
         for i in range(len(self.layers)):
-            d, parts[i] = self.layers[i].enc_backward(
-                caches[i], d, dld, self._slice(theta, i))
-        return np.concatenate(parts) if parts else np.empty(0)
+            d, dJ, parts[i] = self.layers[i].backward(caches[i], d, dld, dJ)
+        return np.concatenate(parts)
 
     def decode(self, z, theta=None):
         theta = self.theta if theta is None else theta
@@ -481,28 +381,12 @@ class FlowModel:
             cur = self.layers[i].dec(cur, self._slice(theta, i))
         return cur
 
-    def encode_jacobian_q(self, x, theta_stack):
-        """Encoder values and Jacobians for a stack of parameter vectors.
-
-        x: (m, n); theta_stack: (Q, P) -> (z (Q,m,n), J (Q,m,n,n)).
-        """
-        theta_stack = np.atleast_2d(theta_stack)
-        Q = theta_stack.shape[0]
-        m = x.shape[0]
-        cur = np.broadcast_to(x, (Q, m, self.n)).copy()
-        J = np.broadcast_to(np.eye(self.n), (Q, m, self.n, self.n)).copy()
-        for i in reversed(range(len(self.layers))):
-            cur, J, _ = self.layers[i].enc_q(cur, self._slice(theta_stack, i), J)
-        return cur, J
-
-    def encode_jacobian(self, x, theta=None):
-        theta = self.theta if theta is None else theta
-        _, J = self.encode_jacobian_q(np.atleast_2d(np.asarray(x, dtype=float)),
-                                      theta[None, :])
-        return J[0]
+    def encode_jacobian_q(self, x, theta):
+        """Encoder Jacobians dz/dx (m, n, n) at the rows of x."""
+        return self.encode(x, theta, want_jac=True)[2]
 
     def round_trip_error(self, x, theta=None):
-        z, _, _ = self.encode(x, theta)
+        z, _, _, _ = self.encode(x, theta)
         return float(np.max(np.abs(self.decode(z, theta) - np.atleast_2d(x))))
 
     def to_dict(self):
@@ -511,12 +395,17 @@ class FlowModel:
 
     @staticmethod
     def from_dict(d):
-        layers = [_LAYER_KINDS[ld["layer"]](ld) for ld in d["layers"]]
+        layers = []
+        for ld in d["layers"]:
+            make = _LAYER_KINDS.get(ld["layer"])
+            if make is None:
+                raise ConfigError(f"unknown flow layer kind {ld['layer']!r}; "
+                                  f"known: {', '.join(_LAYER_KINDS)}")
+            layers.append(make(ld))
         return FlowModel(layers, np.asarray(d["theta"]))
 
 
-def default_bss_flow(n, n_couplings=6, hidden=(16,), s_max=3.0,
-                     sigmoid_head=False):
+def default_bss_flow(n, n_couplings=6, hidden=(16,), s_max=3.0):
     """Coupling stack with alternating permutations plus a data-whitening
     affine layer at the data end of the generative direction."""
     keep = np.zeros(n, dtype=bool)
@@ -528,8 +417,6 @@ def default_bss_flow(n, n_couplings=6, hidden=(16,), s_max=3.0,
         if c < n_couplings - 1:
             layers.append(PermLayer(rev))
     layers.append(AffineLayer(n))
-    if sigmoid_head:
-        layers.append(SigmoidLayer(n))
     return FlowModel(layers)
 
 
@@ -564,7 +451,7 @@ class IidNormalBase:
 def flow_log_density(flow: FlowModel, base, x):
     """log p(x) = log base(g(x)) + log|det J_g(x)| for the encoder g."""
     arr = np.asarray(x, dtype=float)
-    z, ld, _ = flow.encode(arr)
+    z, ld, _, _ = flow.encode(arr)
     out = base.logpdf(z) + ld
     return float(out[0]) if arr.ndim == 1 else out
 
@@ -744,56 +631,42 @@ def _decoder_contrast(J_enc, want_grad=False):
     return vals, grad
 
 
-def cima_of_decoder(flow: FlowModel, theta_stack, x_probe):
+def cima_of_decoder(flow: FlowModel, theta, x_probe):
     """Mean local IMA contrast of g^(-1) at the probe points' images.
 
     Evaluated from the encoder Jacobian: J_{g^(-1)}(g(x)) = J_g(x)^(-1).
-    Returns one mean per stacked parameter vector.
     """
-    _, J_enc = flow.encode_jacobian_q(x_probe, theta_stack)
-    return _decoder_contrast(J_enc)[0].mean(axis=-1)
+    J_enc = flow.encode_jacobian_q(x_probe, theta)
+    return float(_decoder_contrast(J_enc)[0].mean())
 
 
 def cima_value_and_grad(flow: FlowModel, theta, x_probe):
     """Mean IMA penalty of the decoder and its exact gradient over theta.
 
-    One forward sweep of the encoder Jacobian recursion keeps every layer's
-    cache; the adjoint sweep then carries dL/dv and dL/dJ back through the
-    layers (reverse mode over a forward-mode recursion).
+    The Jacobian-carrying encode keeps every layer's cache; the reverse
+    sweep, with dL/dlogdet = 0, then carries dL/dv and dL/dJ back through
+    the layers (reverse mode over a forward-mode recursion).
     """
-    m, n = x_probe.shape
-    cur = x_probe
-    J = np.broadcast_to(np.eye(n), (m, n, n))
-    caches = [None] * len(flow.layers)
-    for i in reversed(range(len(flow.layers))):
-        cur, J, caches[i] = flow.layers[i].enc_q(cur, flow._slice(theta, i), J,
-                                                 want_cache=True)
+    m = x_probe.shape[0]
+    z, _, J, caches = flow.encode(x_probe, theta, want_cache=True,
+                                  want_jac=True)
     vals, dJ = _decoder_contrast(J, want_grad=True)
-    dJ = dJ / m
-    du = np.zeros_like(cur)
-    parts = [None] * len(flow.layers)
-    for i in range(len(flow.layers)):
-        du, dJ, parts[i] = flow.layers[i].enc_q_backward(caches[i], du, dJ)
-    return float(vals.mean()), np.concatenate(parts)
+    grad = flow.encode_backward(caches, np.zeros_like(z), np.zeros(m), dJ / m)
+    return float(vals.mean()), grad
 
 
-def cima_fd_grad(flow: FlowModel, theta, x_probe, h_rel=1e-4, q_chunk=64):
+def cima_fd_grad(flow: FlowModel, theta, x_probe, h_rel=1e-4):
     """Central-difference gradient of the IMA penalty over all parameters:
-    the independent reference for :func:`cima_value_and_grad`.
-
-    All 2P perturbed evaluations run through the stacked Jacobian
-    propagation, chunked to keep the working set cache-friendly.
-    """
-    P = theta.size
+    the independent reference for :func:`cima_value_and_grad`."""
     h = h_rel * (1.0 + np.abs(theta))
-    stack = np.repeat(theta[None, :], 2 * P, axis=0)
-    idx = np.arange(P)
-    stack[2 * idx, idx] += h
-    stack[2 * idx + 1, idx] -= h
-    vals = np.empty(2 * P)
-    for a in range(0, 2 * P, q_chunk):
-        vals[a:a + q_chunk] = cima_of_decoder(flow, stack[a:a + q_chunk], x_probe)
-    return (vals[0::2] - vals[1::2]) / (2.0 * h)
+    grad = np.empty(theta.size)
+    for j in range(theta.size):
+        up, down = theta.copy(), theta.copy()
+        up[j] += h[j]
+        down[j] -= h[j]
+        grad[j] = (cima_of_decoder(flow, up, x_probe)
+                   - cima_of_decoder(flow, down, x_probe)) / (2.0 * h[j])
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -802,12 +675,12 @@ def cima_fd_grad(flow: FlowModel, theta, x_probe, h_rel=1e-4, q_chunk=64):
 
 
 def _nll_and_grad(flow, theta, xb, base):
-    z, ld, caches = flow.encode(xb, theta, want_cache=True)
+    z, ld, _, caches = flow.encode(xb, theta, want_cache=True)
     m = xb.shape[0]
     nll = -float(np.mean(base.logpdf(z) + ld))
     dz = -base.grad(z) / m
     dld = np.full(m, -1.0 / m)
-    grad = flow.encode_backward(caches, dz, dld, theta)
+    grad = flow.encode_backward(caches, dz, dld)
     return nll, grad
 
 
@@ -831,10 +704,10 @@ def train_mle(flow: FlowModel, data, cfg: TrainConfig) -> TrainResult:
         return nll, grad
 
     def val_objective(th):
-        z, ld, _ = flow.encode(x_va, th)
+        z, ld, _, _ = flow.encode(x_va, th)
         obj = -float(np.mean(base.logpdf(z) + ld))
         if lam > 0:
-            obj += lam * float(cima_of_decoder(flow, th[None, :], va_probe)[0])
+            obj += lam * cima_of_decoder(flow, th, va_probe)
         return obj
 
     res = fit(flow.theta, tr_idx, cfg.batch_size, loss_and_grad, val_objective, cfg)
@@ -848,8 +721,8 @@ def train_mle(flow: FlowModel, data, cfg: TrainConfig) -> TrainResult:
 
 
 def _align_loss_and_grad(flow, theta, xa, xb, n_content):
-    za, lda, ca = flow.encode(xa, theta, want_cache=True)
-    zb, ldb, cb = flow.encode(xb, theta, want_cache=True)
+    za, _, _, ca = flow.encode(xa, theta, want_cache=True)
+    zb, _, _, cb = flow.encode(xb, theta, want_cache=True)
     m = xa.shape[0]
     diff = za[:, :n_content] - zb[:, :n_content]
     loss = float(np.sum(diff * diff) / m)
@@ -858,8 +731,8 @@ def _align_loss_and_grad(flow, theta, xa, xb, n_content):
     dza[:, :n_content] = 2.0 * diff / m
     dzb[:, :n_content] = -2.0 * diff / m
     zeros = np.zeros(m)
-    grad = (flow.encode_backward(ca, dza, zeros, theta)
-            + flow.encode_backward(cb, dzb, zeros, theta))
+    grad = (flow.encode_backward(ca, dza, zeros)
+            + flow.encode_backward(cb, dzb, zeros))
     return loss, grad
 
 

@@ -259,7 +259,7 @@ def _batch_nll_grad(flow: FlowModel, dens: _CandidateDensity, theta, x, env):
     for row r) and its gradient in ``theta``, the flow parameters followed by
     the mechanism parameters."""
     nf = flow.n_params
-    z, ld, caches = flow.encode(x, theta[:nf], want_cache=True)
+    z, ld, _, caches = flow.encode(x, theta[:nf], want_cache=True)
     m = x.shape[0]
     lp_total = ld.copy()
     dz = np.zeros_like(z)
@@ -271,7 +271,7 @@ def _batch_nll_grad(flow: FlowModel, dens: _CandidateDensity, theta, x, env):
         dz[sel] = -dz_e / m
         dmech += -dth_e.sum(axis=0) / m
     nll = -float(np.mean(lp_total))
-    dflow = flow.encode_backward(caches, dz, np.full(m, -1.0 / m), theta[:nf])
+    dflow = flow.encode_backward(caches, dz, np.full(m, -1.0 / m))
     return nll, np.concatenate([dflow, dmech])
 
 
@@ -306,7 +306,7 @@ def fit_candidate(cand: CrlCandidate, data: MultiEnvDataset,
         return _batch_nll_grad(flow, dens, th, x_all[idx], env_of[idx])
 
     def heldout_ll(th):
-        z, ld, _ = flow.encode(x_all[va_idx], th[:nf])
+        z, ld, _, _ = flow.encode(x_all[va_idx], th[:nf])
         per_env = {}
         total = 0.0
         rows = 0

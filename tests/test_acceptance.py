@@ -90,7 +90,7 @@ def _bss_mcc(seed, lam):
     cfg = flow.TrainConfig(lr=3e-3, epochs=60, batch_size=256, ima_weight=lam,
                            patience=15, seed=seed)
     res = flow.train_mle(fl, x, cfg)
-    z, _, _ = res.model.encode(x[:3000])
+    z, _, _, _ = res.model.encode(x[:3000])
     score, _ = metrics.mcc(z, s[:3000])
     return score
 
@@ -156,7 +156,7 @@ def _crl_seed_run(seed):
     fitted, scores = [], {}
     for cand in cands:
         cand, per_env, total = multienv.fit_candidate(cand, data, tc)
-        z, _, _ = cand.flow.encode(x_all)
+        z, _, _, _ = cand.flow.encode(x_all)
         scores[cand.cid], _ = metrics.mcc(z, v_all)
         fitted.append((cand, per_env, total))
     winner, _ = multienv.select_candidate(fitted)

@@ -65,6 +65,17 @@ class TestGlobalIma:
             n_mc=100_000, seed=0)
         assert abs(est.value) <= 3 * est.stderr
 
+    def test_polar_raw_estimate_is_rounding_only(self):
+        # c01's configuration without the clamp: the raw per-point contrast
+        # of the polar map is zero up to rounding, whose bias (about -2e-17
+        # against a stderr near 4e-19) a 3*stderr check would reject, so the
+        # allowance is an explicit rounding bound
+        est = contrast.global_ima(
+            mixing.PolarToCartesian(),
+            contrast.box_sampler([1e-9, 0.0], [3.0, 2 * np.pi]),
+            n_mc=100_000, seed=1, clamp=False)
+        assert abs(est.value) <= 1e-15
+
     def test_conformal_maps_zero_for_any_source(self):
         m = mixing.random_moebius(2, seed=8)
         for k, sampler in enumerate([

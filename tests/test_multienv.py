@@ -129,7 +129,7 @@ class TestCandidates:
         tc = flow.TrainConfig(lr=3e-3, epochs=5, batch_size=256, seed=7)
         cand, _, _ = multienv.fit_candidate(cand, data, tc)
         psi = cand.psi_evaluator(data)
-        z, _, _ = cand.flow.encode(data.envs[0].x[:50])
+        z, _, _, _ = cand.flow.encode(data.envs[0].x[:50])
         np.testing.assert_allclose(psi(z), data.envs[0].v[:50], atol=1e-6)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
