@@ -292,14 +292,21 @@ def _json_default(obj):
 def save_dataset(ds: scm_mod.MultiEnvDataset, path, ctx: RunContext | None = None):
     """Write the observation CSV, the optional latent CSV, and the sidecar."""
     path = Path(path)
-    _write_env_csv(path, "x", [env.x for env in ds.envs])
     written = [path]
-
     latents_path = None
+    shared = False
     if all(env.v is not None for env in ds.envs):
         latents_path = path.with_suffix(".latents.csv")
-        _write_env_csv(latents_path, "v", [env.v for env in ds.envs])
         written.append(latents_path)
+        # identity mixing: the latents are the observations, so one pass
+        # formats each row once for both files
+        shared = all(env.v is env.x for env in ds.envs)
+    targets = [(path, "x")]
+    if shared:
+        targets.append((latents_path, "v"))
+    _write_env_csv(targets, [env.x for env in ds.envs])
+    if latents_path is not None and not shared:
+        _write_env_csv([(latents_path, "v")], [env.v for env in ds.envs])
 
     sidecar = {
         "seed": ds.seed,
@@ -321,14 +328,28 @@ def save_dataset(ds: scm_mod.MultiEnvDataset, path, ctx: RunContext | None = Non
     return written
 
 
-def _write_env_csv(path, prefix, blocks):
-    """One row per sample: the block's index as env_id, then the values."""
+def _write_env_csv(targets, blocks):
+    """One row per sample: the block's index as env_id, then the values.
+
+    Every ``(path, prefix)`` target gets the same rows under its own column
+    prefix; each row is formatted once and written to every target.
+    """
     d = blocks[0].shape[1]
     row = "{}," + ",".join([_FLOAT_FMT] * d) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(["env_id"] + [f"{prefix}_{j}" for j in range(d)]) + "\n")
+    files = []
+    try:
+        for path, prefix in targets:
+            files.append(open(path, "w"))
+            files[-1].write(",".join(["env_id"] + [f"{prefix}_{j}" for j in range(d)])
+                            + "\n")
         for e, block in enumerate(blocks):
-            fh.writelines(row.format(e, *vals) for vals in block.tolist())
+            for vals in block.tolist():
+                line = row.format(e, *vals)
+                for fh in files:
+                    fh.write(line)
+    finally:
+        for fh in files:
+            fh.close()
 
 
 def _read_env_csv(path, prefix):
@@ -591,15 +612,23 @@ def _cmd_crl_sweep(ctx: RunContext):
 
 def _cmd_mss(ctx: RunContext):
     cfg = ctx.cfg
+    test = mss_mod.CiInvarianceTest(cfg["test"], alpha=cfg["alpha"])
     if cfg["dataset"]:
         data = load_dataset(cfg["dataset"])
         n = data.d
+        n_rows = min((env.x.shape[0] for env in data.envs), default=0)
+        where = f"an environment of {cfg['dataset']}"
     else:
-        data = mss_mod.generate_mss_problem(cfg["n"], cfg["n_envs"],
-                                            cfg["rows_per_env"], ctx.seed)
+        data = None
+        n, n_rows, where = cfg["n"], cfg["rows_per_env"], "rows_per_env"
+    # checked before any file is written
+    n_min = mss_mod.MIN_ROWS_PER_NODE * n
+    if test.kind == "linear-gaussian" and n_rows < n_min:
+        raise ConfigError(f"the linear-gaussian test needs at least {n_min} rows "
+                          f"per environment at n={n}; {where} has {n_rows}")
+    if data is None:
+        data = mss_mod.generate_mss_problem(n, cfg["n_envs"], n_rows, ctx.seed)
         save_dataset(data, ctx.out / "dataset.csv", ctx)
-        n = cfg["n"]
-    test = mss_mod.CiInvarianceTest(cfg["test"], alpha=cfg["alpha"])
     result = mss_mod.mss_discover(data, test, n)
     rows = []
     for rank, i in enumerate(result.ranking):

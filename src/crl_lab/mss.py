@@ -9,11 +9,21 @@ The score decomposes over (environment pair, node, parent set): a local
 p-value depends on a DAG only through one node's parent set.  ``mss_discover``
 therefore computes each local test once per discovery and shares it across
 every candidate DAG (at n=4 with 6 environments, 480 tests for 543 DAGs).
+
+The finite-sample test needs only each environment's row count, mean and
+centred scatter matrix: every residual sum of squares is a Schur complement
+of a scatter block.  ``mss_discover`` forms those statistics once and runs
+all of its local tests in one batch of stacked solves and one call per
+distribution tail, so the cost no longer depends on the row count;
+``pair_invariance_pvalue`` runs the same batch on one key.  A key with an
+ill-conditioned parent block is fitted by least squares on the rows.  The
+oracle test stays one key at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.special import chdtrc, fdtr, fdtrc
@@ -78,31 +88,149 @@ def _oracle_pvalue(meta_scm: Scm, spec_a, spec_b, node, parents, tol=1e-8):
     return 1.0 if same else 0.0
 
 
-def _ols(x, y):
-    """Least squares with intercept; returns (rss, n, k)."""
-    X = np.column_stack([np.ones(x.shape[0]), x]) if x.shape[1] else \
-        np.ones((x.shape[0], 1))
-    coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+# the regression test needs this many rows per environment for each node
+MIN_ROWS_PER_NODE = 10
+
+# the normal equations square the rows' condition number: a key is fitted by
+# least squares on the rows unless each of its parent blocks, scaled to unit
+# diagonal, has a condition number of at most this
+_COND_MAX = 1e6
+
+
+def _rss_lstsq(x, y):
+    """Residual sum of squares of least squares with intercept on the rows."""
+    X = np.column_stack([np.ones(x.shape[0]), x])
+    coef = np.linalg.lstsq(X, y, rcond=None)[0]
     resid = y - X @ coef
-    return float(resid @ resid), X.shape[0], X.shape[1]
+    return float(resid @ resid)
 
 
-def _finite_sample_pvalue(xa, ya, xb, yb):
-    """Chow coefficient test + residual-variance F-test, Fisher-combined."""
-    rss_a, n_a, k = _ols(xa, ya)
-    rss_b, n_b, _ = _ols(xb, yb)
-    rss_p, _, _ = _ols(np.concatenate([xa, xb]), np.concatenate([ya, yb]))
+def _well_conditioned(A):
+    """Which of the stacked symmetric (k, k) blocks ``A`` are nonsingular with
+    a condition number of at most ``_COND_MAX`` once scaled to unit diagonal.
+
+    The Frobenius-norm condition number ``|C|_F |C^-1|_F`` bounds the
+    spectral one from above and needs only the LU factorization that the
+    solves use too.
+    """
+    k = A.shape[-1]
+    diag = np.diagonal(A, axis1=1, axis2=2)
+    pos = (diag > 0).all(axis=1)
+    scale = 1.0 / np.sqrt(np.where(pos[:, None], diag, 1.0))
+    C = A * scale[:, :, None] * scale[:, None, :]
+    ok = pos & (np.linalg.det(C) > 0)  # a zero pivot would make inv raise
+    C[~ok] = np.eye(k)
+    cond = (np.linalg.norm(C, axis=(1, 2))
+            * np.linalg.norm(np.linalg.inv(C), axis=(1, 2)))
+    return ok & (cond <= _COND_MAX)
+
+
+def _rss_from_stats(n, mean, scatter, e_a, e_b, node, parents):
+    """Residual sums of squares of node on parents in environment a, in b and
+    in both pooled, from each environment's row count, mean and centred
+    scatter matrix; keys run along the first axis, ``parents`` is (m, k).
+
+    The OLS RSS is the Schur complement ``S[i,i] - S[i,P] S[P,P]^-1 S[P,i]``.
+    The pooled scatter is ``S_a + S_b + c dd^T`` with ``c = n_a n_b / (n_a +
+    n_b)`` and ``d`` the difference of the means; its RSS is taken as the
+    within-pair RSS plus the rank-one term ``c u^2 / (1 + c d_P^T S_w^-1
+    d_P)``, which stays accurate when the means lie far apart.
+
+    Returns the (m, 3) RSS table and a mask of the keys whose three parent
+    blocks are well conditioned; the other rows hold no meaningful values.
+    """
+    m, k = parents.shape
+    s_a, s_b = scatter[e_a, node, node], scatter[e_b, node, node]
+    c = n[e_a] * n[e_b] / (n[e_a] + n[e_b])
+    delta = mean[e_a] - mean[e_b]                      # (m, d)
+    d_i = delta[np.arange(m), node]
+    if k == 0:
+        rss = np.stack([s_a, s_b, s_a + s_b + c * d_i * d_i], axis=1)
+        return rss, np.ones(m, dtype=bool)
+    rows, cols = parents[:, :, None], parents[:, None, :]
+    A_a = scatter[e_a[:, None, None], rows, cols]      # (m, k, k)
+    A_b = scatter[e_b[:, None, None], rows, cols]
+    b_a = scatter[e_a[:, None], parents, node[:, None]]  # (m, k)
+    b_b = scatter[e_b[:, None], parents, node[:, None]]
+    d_p = np.take_along_axis(delta, parents, axis=1)   # (m, k)
+    # environment a, environment b, then the pooled within-pair blocks
+    A = np.concatenate([A_a, A_b, A_a + A_b])
+    b = np.concatenate([b_a, b_b, b_a + b_b])
+    ok = _well_conditioned(A).reshape(3, m).all(axis=0)
+    A[~np.tile(ok, 3)] = np.eye(k)                     # solved, then discarded
+    rhs = np.stack([b, np.concatenate([d_p, d_p, d_p])], axis=2)
+    sol = np.linalg.solve(A, rhs)                      # (3m, k, 2)
+    beta = sol[:, :, 0]
+    rss = (np.concatenate([s_a, s_b, s_a + s_b])
+           - (b * beta).sum(axis=1)).reshape(3, m)
+    u = d_i - (beta[2 * m:] * d_p).sum(axis=1)
+    lift = 1.0 + c * (sol[2 * m:, :, 1] * d_p).sum(axis=1)
+    rss[2] += c * u * u / lift
+    return rss.T, ok
+
+
+def _pvalues_from_rss(rss_a, rss_b, rss_p, n_a, n_b, k):
+    """Chow coefficient test + residual-variance F-test, Fisher-combined,
+    elementwise; ``k`` counts the regressors with the intercept."""
     dof = n_a + n_b - 2 * k
-    num = max(rss_p - rss_a - rss_b, 0.0) / k
+    num = np.maximum(rss_p - rss_a - rss_b, 0.0) / k
     den = (rss_a + rss_b) / dof
-    p_coef = float(fdtrc(k, dof, num / max(den, 1e-300)))
+    p_coef = fdtrc(k, dof, num / np.maximum(den, 1e-300))
     s2_a = rss_a / (n_a - k)
     s2_b = rss_b / (n_b - k)
-    ratio = s2_a / max(s2_b, 1e-300)
+    ratio = s2_a / np.maximum(s2_b, 1e-300)
     cdf = fdtr(n_a - k, n_b - k, ratio)
-    p_var = float(2 * min(cdf, 1 - cdf))
-    fisher = -2.0 * (np.log(max(p_coef, 1e-300)) + np.log(max(p_var, 1e-300)))
-    return float(chdtrc(4, fisher))
+    p_var = 2 * np.minimum(cdf, 1 - cdf)
+    fisher = -2.0 * (np.log(np.maximum(p_coef, 1e-300))
+                     + np.log(np.maximum(p_var, 1e-300)))
+    return chdtrc(4, fisher)
+
+
+def _local_rss(xs, keys) -> np.ndarray:
+    """The (m, 3) residual sums of squares, in environment a, in b and
+    pooled, of keys ``(e_a, e_b, node, parents)`` over the environments' row
+    blocks ``xs``, in one batch.
+
+    Each environment's row count, mean and centred scatter matrix are formed
+    once; every key's three residual sums of squares then come from stacked
+    solves on its parent blocks, so the cost does not grow with the rows.
+    Keys with a singular or ill-conditioned parent block are fitted by least
+    squares on the rows.
+    """
+    n = np.array([x.shape[0] for x in xs])
+    mean = np.stack([x.mean(axis=0) for x in xs])
+    scatter = np.stack([(x - mu).T @ (x - mu) for x, mu in zip(xs, mean)])
+    e_a, e_b, node = (np.array([key[j] for key in keys], dtype=int)
+                      for j in range(3))
+    size = np.array([len(key[3]) for key in keys], dtype=int)
+    rss = np.empty((len(keys), 3))
+    for k in np.unique(size):
+        idx = np.flatnonzero(size == k)
+        parents = np.array([keys[j][3] for j in idx], dtype=int).reshape(len(idx), k)
+        rss[idx], ok = _rss_from_stats(n, mean, scatter, e_a[idx], e_b[idx],
+                                       node[idx], parents)
+        for j in idx[~ok]:
+            a, b, i, ps = keys[j]
+            ps = list(ps)
+            pooled = np.concatenate([xs[a], xs[b]])
+            rss[j] = [_rss_lstsq(x[:, ps], x[:, i]) for x in (xs[a], xs[b], pooled)]
+    return rss
+
+
+def _local_pvalues(xs, keys) -> np.ndarray:
+    """Finite-sample p-values of ``keys`` (see :func:`_local_rss`)."""
+    rss = _local_rss(xs, keys)
+    n_a, n_b = (np.array([xs[key[j]].shape[0] for key in keys]) for j in (0, 1))
+    k = np.array([len(key[3]) + 1 for key in keys])
+    return _pvalues_from_rss(rss[:, 0], rss[:, 1], rss[:, 2], n_a, n_b, k)
+
+
+def _require_rows(data: MultiEnvDataset, envs):
+    n_min = MIN_ROWS_PER_NODE * data.d
+    if any(data.envs[e].x.shape[0] < n_min for e in envs):
+        raise SampleSizeError(
+            f"need at least {n_min} rows per environment for the regression test"
+        )
 
 
 def pair_invariance_pvalue(test: CiInvarianceTest, data: MultiEnvDataset,
@@ -112,14 +240,9 @@ def pair_invariance_pvalue(test: CiInvarianceTest, data: MultiEnvDataset,
             raise ValueError("oracle test needs a ground-truth sidecar")
         return _oracle_pvalue(data.meta.scm, data.envs[e_a].spec,
                               data.envs[e_b].spec, node, parents)
-    xa, xb = data.envs[e_a].x, data.envs[e_b].x
-    ps = list(parents)
-    n_min = 10 * data.d
-    if xa.shape[0] < n_min or xb.shape[0] < n_min:
-        raise SampleSizeError(
-            f"need at least {n_min} rows per environment for the regression test"
-        )
-    return _finite_sample_pvalue(xa[:, ps], xa[:, node], xb[:, ps], xb[:, node])
+    _require_rows(data, (e_a, e_b))
+    xs = [data.envs[e_a].x, data.envs[e_b].x]
+    return float(_local_pvalues(xs, [(0, 1, node, tuple(parents))])[0])
 
 
 def mss_score(dag: Dag, data: MultiEnvDataset, test: CiInvarianceTest,
@@ -168,13 +291,29 @@ class MssResult:
 def mss_discover(data: MultiEnvDataset, test: CiInvarianceTest, n: int,
                  soft_kind: str = "one-minus-p") -> MssResult:
     """Score every labeled DAG on ``n <= 4`` nodes and return the minimizer set
-    (by hard score, ranked by soft score)."""
+    (by hard score, ranked by soft score).
+
+    With the linear-gaussian test every (pair, node, parent set) p-value is
+    computed in one batch first, so ``mss_score`` reads them all from the
+    shared cache."""
     if n > 4:
         raise CapacityError("mss_discover enumerates labeled DAGs only up to n=4")
     if n != data.d:
         raise ValueError("n must match the observed dimension (identity mixing)")
     dags = enumerate_dags(n)
     cache = {}
+    if test.kind == "linear-gaussian":
+        # every (pair, node, parent set) a DAG on n nodes can ask for
+        keys = [(e_a, e_b, node, ps)
+                for e_a in range(len(data.envs))
+                for e_b in range(e_a + 1, len(data.envs))
+                for node in range(n)
+                for r in range(n)
+                for ps in combinations([j for j in range(n) if j != node], r)]
+        if keys:
+            _require_rows(data, range(len(data.envs)))
+            pvalues = _local_pvalues([env.x for env in data.envs], keys)
+            cache = dict(zip(keys, pvalues.tolist()))
     hard, soft = [], []
     for dag in dags:
         h, s = mss_score(dag, data, test, soft_kind, cache)

@@ -8,7 +8,6 @@ conditional densities closed-form.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,17 +168,21 @@ def enumerate_dags(n: int) -> list:
             "super-exponentially (hard limit n=4)"
         )
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        parents = [[] for _ in range(n)]
-        for (a, b), on in zip(pairs, bits):
-            if on:
-                parents[b].append(a)
-        try:
-            out.append(Dag(n, tuple(tuple(p) for p in parents), ordered=False))
-        except CycleError:
-            continue
-    return out
+    # matrix t holds t's binary digits, the first pair's most significant:
+    # the order of itertools.product((0, 1), repeat=len(pairs))
+    codes = np.arange(2 ** len(pairs))
+    adj = np.zeros((len(codes), n, n), dtype=bool)
+    for j, (a, b) in enumerate(pairs):
+        adj[:, a, b] = (codes >> (len(pairs) - 1 - j)) & 1
+    # a graph is acyclic iff its adjacency matrix is nilpotent: A^n = 0
+    walks = adj
+    for _ in range(n - 1):
+        walks = walks @ adj
+    acyclic = adj[~walks.any(axis=(1, 2))].transpose(0, 2, 1).tolist()
+    # row b of a transposed matrix flags node b's parents
+    return [Dag(n, tuple(tuple(a for a, on in enumerate(row) if on) for row in dag),
+                ordered=False)
+            for dag in acyclic]
 
 
 # ---------------------------------------------------------------------------

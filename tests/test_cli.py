@@ -61,6 +61,28 @@ class TestDatasetRoundTrip:
         with pytest.raises(DatasetFormatError, match="row 6"):
             cli.load_dataset(tmp_path / "data.csv")
 
+    @pytest.mark.parametrize("make", [
+        lambda: mss.generate_mss_problem(3, 4, 50, seed=2),  # latents are x
+        tiny_dataset,                                         # separate arrays
+    ], ids=["identity", "separate"])
+    def test_csv_bytes_equal_two_pass_writer(self, tmp_path, make):
+        def two_pass(path, prefix, blocks):
+            d = blocks[0].shape[1]
+            row = "{}," + ",".join(["{:.16e}"] * d) + "\n"
+            with open(path, "w") as fh:
+                fh.write(",".join(["env_id"] + [f"{prefix}_{j}" for j in range(d)])
+                         + "\n")
+                for e, block in enumerate(blocks):
+                    fh.writelines(row.format(e, *vals) for vals in block.tolist())
+
+        ds = make()
+        cli.save_dataset(ds, tmp_path / "data.csv")
+        two_pass(tmp_path / "ref.csv", "x", [env.x for env in ds.envs])
+        two_pass(tmp_path / "ref.latents.csv", "v", [env.v for env in ds.envs])
+        for got, ref in (("data.csv", "ref.csv"),
+                         ("data.latents.csv", "ref.latents.csv")):
+            assert (tmp_path / got).read_bytes() == (tmp_path / ref).read_bytes()
+
     def test_wrong_header_rejected(self, tmp_path):
         (tmp_path / "bad.csv").write_text("a,b\n1,2\n")
         with pytest.raises(DatasetFormatError, match="env_id"):
@@ -149,6 +171,36 @@ class TestCommands:
         rows = (out / "mss.csv").read_text().splitlines()
         assert rows[0] == "dag_id,edges,hard,soft,minimizer,rank"
         assert len(rows) == 4  # 3 labeled DAGs on 2 nodes
+
+    @pytest.mark.parametrize("n, rows, from_file", [
+        (3, 29, False), (2, 15, False), (2, 15, True),
+    ])
+    def test_mss_too_few_rows_exits_1_before_writing(self, tmp_path, capsys,
+                                                     n, rows, from_file):
+        cfg = {"n": n, "rows_per_env": rows, "test": "linear-gaussian"}
+        if from_file:
+            gen_cfg = tmp_path / "gen.json"
+            gen_cfg.write_text(json.dumps({"process": "mss", "n": n,
+                                           "rows_per_env": rows}))
+            assert cli.run(["gen-data", "--config", str(gen_cfg),
+                            "--out", str(tmp_path / "gen")]) == 0
+            cfg = {"dataset": str(tmp_path / "gen" / "dataset.csv"),
+                   "test": "linear-gaussian"}
+        (tmp_path / "mss.json").write_text(json.dumps(cfg))
+        out = tmp_path / "mss"
+        assert cli.run(["mss", "--config", str(tmp_path / "mss.json"),
+                        "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"at least {10 * n} rows" in err
+        assert not any(out.iterdir())
+
+    def test_mss_oracle_runs_on_few_rows(self, tmp_path):
+        (tmp_path / "mss.json").write_text(json.dumps(
+            {"n": 2, "rows_per_env": 15, "test": "oracle"}))
+        out = tmp_path / "mss"
+        assert cli.run(["mss", "--config", str(tmp_path / "mss.json"),
+                        "--out", str(out)]) == 0
+        assert len((out / "mss.csv").read_text().splitlines()) == 4
 
     def test_influence_command(self, tmp_path):
         cfg = tmp_path / "inf.json"

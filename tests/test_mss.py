@@ -1,8 +1,61 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy.special import chdtrc, fdtr, fdtrc
 
 from crl_lab import mss, scm
 from crl_lab.errors import CapacityError, SampleSizeError
+
+
+# -- independent reference: least squares on the rows, one key at a time --
+
+
+def _ols(x, y):
+    """Least squares with intercept; returns (rss, n, k)."""
+    X = np.column_stack([np.ones(x.shape[0]), x]) if x.shape[1] else \
+        np.ones((x.shape[0], 1))
+    coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+    resid = y - X @ coef
+    return float(resid @ resid), X.shape[0], X.shape[1]
+
+
+def _key_rss(xs, key):
+    e_a, e_b, node, parents = key
+    ps = list(parents)
+    pooled = np.concatenate([xs[e_a], xs[e_b]])
+    return [_ols(x[:, ps], x[:, node])[0] for x in (xs[e_a], xs[e_b], pooled)]
+
+
+def _finite_sample_pvalue(xa, ya, xb, yb):
+    """Chow coefficient test + residual-variance F-test, Fisher-combined."""
+    rss_a, n_a, k = _ols(xa, ya)
+    rss_b, n_b, _ = _ols(xb, yb)
+    rss_p, _, _ = _ols(np.concatenate([xa, xb]), np.concatenate([ya, yb]))
+    dof = n_a + n_b - 2 * k
+    num = max(rss_p - rss_a - rss_b, 0.0) / k
+    den = (rss_a + rss_b) / dof
+    p_coef = float(fdtrc(k, dof, num / max(den, 1e-300)))
+    s2_a = rss_a / (n_a - k)
+    s2_b = rss_b / (n_b - k)
+    ratio = s2_a / max(s2_b, 1e-300)
+    cdf = fdtr(n_a - k, n_b - k, ratio)
+    p_var = float(2 * min(cdf, 1 - cdf))
+    fisher = -2.0 * (np.log(max(p_coef, 1e-300)) + np.log(max(p_var, 1e-300)))
+    return float(chdtrc(4, fisher))
+
+
+def all_keys(n, n_envs):
+    return [(a, b, node, ps) for a in range(n_envs) for b in range(a + 1, n_envs)
+            for node in range(n) for r in range(n)
+            for ps in combinations([j for j in range(n) if j != node], r)]
+
+
+def reference_pvalues(data, n):
+    xs = [env.x for env in data.envs]
+    return {key: _finite_sample_pvalue(xs[key[0]][:, list(key[3])], xs[key[0]][:, key[2]],
+                                       xs[key[1]][:, list(key[3])], xs[key[1]][:, key[2]])
+            for key in all_keys(n, len(xs))}
 
 
 def two_env_marginal_shift(rows=600):
@@ -96,6 +149,7 @@ class TestMssScore:
     def test_finite_sample_pvalue_equals_scipy_stats_reference(self):
         from scipy import stats
 
+        cases, expected = [], []
         for seed in range(60):
             rng = np.random.default_rng([seed, 7])
             k, n_a, n_b = (int(v) for v in rng.integers([0, 20, 20], [4, 300, 300]))
@@ -106,10 +160,11 @@ class TestMssScore:
             ya = xa.sum(axis=1) + rng.standard_normal(n_a)
             yb = (1 + shift) * xb.sum(axis=1) + shift + \
                 (1 + scale) * rng.standard_normal(n_b)
-            rss_a, n_a, k = mss._ols(xa, ya)
-            rss_b, n_b, _ = mss._ols(xb, yb)
-            rss_p, _, _ = mss._ols(np.concatenate([xa, xb]),
-                                   np.concatenate([ya, yb]))
+            rss_a, n_a, k = _ols(xa, ya)
+            rss_b, n_b, _ = _ols(xb, yb)
+            rss_p, _, _ = _ols(np.concatenate([xa, xb]),
+                               np.concatenate([ya, yb]))
+            cases.append((rss_a, rss_b, rss_p, n_a, n_b, k))
             dof = n_a + n_b - 2 * k
             num = max(rss_p - rss_a - rss_b, 0.0) / k
             den = (rss_a + rss_b) / dof
@@ -119,9 +174,57 @@ class TestMssScore:
             p_var = float(2 * min(cdf, 1 - cdf))
             fisher = -2.0 * (np.log(max(p_coef, 1e-300))
                              + np.log(max(p_var, 1e-300)))
-            expected = float(stats.chi2.sf(fisher, 4))
-            got = mss._finite_sample_pvalue(xa, ya, xb, yb)
-            assert got == expected, seed
+            expected.append(float(stats.chi2.sf(fisher, 4)))
+        got = mss._pvalues_from_rss(*(np.array(col) for col in zip(*cases)))
+        for seed, (g, e) in enumerate(zip(got.tolist(), expected)):
+            assert g == e, seed
+
+
+class TestSufficientStatistics:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rss_matches_least_squares_on_rows(self, seed):
+        # the means of the three environments lie up to 1e4 apart
+        rng = np.random.default_rng([seed, 11])
+        d = 4
+        mix = rng.standard_normal((d, d)) * np.tri(d, k=-1) + np.eye(d)
+        xs = [(rng.standard_normal((int(rows), d)) * rng.uniform(0.5, 2.0, d)) @ mix.T
+              + rng.uniform(-1, 1, d) * 10.0 ** rng.uniform(0, 4)
+              for rows in rng.integers(40, 2000, size=3)]
+        keys = all_keys(d, 3)
+        got = mss._local_rss(xs, keys)
+        expected = np.array([_key_rss(xs, key) for key in keys])
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
+
+    def test_duplicated_parent_column_falls_back_to_rows(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        xs = []
+        for rows, shift in ((300, 0.0), (250, 0.2)):
+            x = rng.standard_normal((rows, 3))
+            x[:, 1] = x[:, 0]
+            x[:, 2] += x[:, 0] + shift
+            xs.append(x)
+        calls = []
+        real = mss._rss_lstsq
+        monkeypatch.setattr(mss, "_rss_lstsq",
+                            lambda x, y: calls.append(x.shape) or real(x, y))
+        keys = [(0, 1, 2, (0, 1)), (0, 1, 2, (0,)), (0, 1, 1, ())]
+        got = mss._local_pvalues(xs, keys)
+        # only the key whose parent block is singular is fitted on the rows
+        assert calls == [(300, 2), (250, 2), (550, 2)]
+        for key, p in zip(keys, got.tolist()):
+            a, b, node, ps = key
+            ps = list(ps)
+            expected = _finite_sample_pvalue(xs[a][:, ps], xs[a][:, node],
+                                             xs[b][:, ps], xs[b][:, node])
+            assert p == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
+    def test_pair_pvalue_is_a_batch_of_one(self):
+        data = mss.generate_mss_problem(3, 3, 400, seed=2)
+        test = mss.CiInvarianceTest("linear-gaussian")
+        keys = all_keys(3, 3)
+        batch = mss._local_pvalues([env.x for env in data.envs], keys)
+        for key, p in zip(keys, batch.tolist()):
+            assert mss.pair_invariance_pvalue(test, data, *key) == p
 
 
 class TestMssDiscover:
@@ -181,6 +284,30 @@ class TestMssDiscover:
                     assert res.ranking == ranking
                     assert res.minimizers == tuple(
                         i for i in ranking if hard[i] == min(hard))
+
+    @pytest.mark.parametrize("n, n_envs, rows, seeds", [
+        (3, 6, 2000, range(6)),
+        (4, 6, 2000, range(2)),
+    ], ids=["n3", "n4"])
+    def test_discovery_matches_least_squares_reference(self, n, n_envs, rows,
+                                                       seeds):
+        test = mss.CiInvarianceTest("linear-gaussian")
+        for seed in seeds:
+            data = mss.generate_mss_problem(n, n_envs, rows, seed=seed)
+            ref = reference_pvalues(data, n)
+            res = mss.mss_discover(data, test, n)
+            # mss_score reads every p-value from the reference cache
+            scores = [mss.mss_score(d, data, test, cache=dict(ref))
+                      for d in res.dags]
+            hard = tuple(h for h, _ in scores)
+            soft = [s for _, s in scores]
+            ranking = tuple(sorted(range(len(scores)),
+                                   key=lambda i: (hard[i], soft[i])))
+            assert res.hard == hard
+            assert res.ranking == ranking
+            assert res.minimizers == tuple(i for i in ranking
+                                           if hard[i] == min(hard))
+            np.testing.assert_allclose(res.soft, soft, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_each_local_test_computed_once(self, n, monkeypatch):

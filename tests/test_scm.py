@@ -261,6 +261,25 @@ class TestEnumerateDags:
         assert len(dags) == count
         assert len({d.parents for d in dags}) == count
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_list_as_edge_set_loop(self, n):
+        # the list index is mss.csv's dag_id, so the order must hold too:
+        # every directed edge set in itertools.product order, cyclic ones
+        # rejected by Dag's own check
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        expected = []
+        for bits in itertools.product((0, 1), repeat=len(pairs)):
+            parents = [[] for _ in range(n)]
+            for (a, b), on in zip(pairs, bits):
+                if on:
+                    parents[b].append(a)
+            try:
+                expected.append(scm.Dag(n, tuple(tuple(p) for p in parents),
+                                        ordered=False))
+            except CycleError:
+                continue
+        assert scm.enumerate_dags(n) == expected
+
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             scm.enumerate_dags(5)
