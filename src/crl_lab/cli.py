@@ -154,9 +154,10 @@ def _one_of(*choices):
 _VALID = {
     "process": _one_of("crl", "mss"),
     "n": _int(1),
-    "mss:n": _int(1, 4),  # labeled-DAG enumeration stops at n = 4
+    "mss:n": _int(1, mss_mod.MAX_NODES),
     "rows_per_env": _int(1),
     "n_envs": _int(1),
+    "mss:n_envs": _int(2),  # the score compares environment pairs
     "mixing_kind": _one_of("mlp", "identity", "moebius"),
     "n_mc": _int(1),
     "thetas": _list(_num()),
@@ -544,7 +545,7 @@ def _multiview_cell(args):
         n_pairs=cfg["n_pairs"],
         train=flow_mod.TrainConfig(lr=1e-3, epochs=cfg["epochs"],
                                    n_negatives=256, temperature=0.5,
-                                   patience=15, seed=seed),
+                                   patience=15),
         seed=seed)
     return multiview.encode_content(proc, exp_cfg)
 
@@ -615,13 +616,21 @@ def _cmd_mss(ctx: RunContext):
     test = mss_mod.CiInvarianceTest(cfg["test"], alpha=cfg["alpha"])
     if cfg["dataset"]:
         data = load_dataset(cfg["dataset"])
+        # checked before any file is written, like a generated problem's n
+        # and n_envs in load_config
+        if len(data.envs) < 2:
+            raise ConfigError(f"mss compares environment pairs; {cfg['dataset']} "
+                              f"has {len(data.envs)} environment(s)")
         n = data.d
-        n_rows = min((env.x.shape[0] for env in data.envs), default=0)
+        if n > mss_mod.MAX_NODES:
+            raise ConfigError(f"mss enumerates labeled DAGs only up to "
+                              f"n={mss_mod.MAX_NODES}; {cfg['dataset']} has "
+                              f"{n} columns")
+        n_rows = min(env.x.shape[0] for env in data.envs)
         where = f"an environment of {cfg['dataset']}"
     else:
         data = None
         n, n_rows, where = cfg["n"], cfg["rows_per_env"], "rows_per_env"
-    # checked before any file is written
     n_min = mss_mod.MIN_ROWS_PER_NODE * n
     if test.kind == "linear-gaussian" and n_rows < n_min:
         raise ConfigError(f"the linear-gaussian test needs at least {n_min} rows "

@@ -5,19 +5,19 @@ nodes, how many conditionals in the candidate factorization change; the true
 graph minimizes it (not necessarily uniquely).  Environments are always
 compared pairwise, never pooled.
 
-The score decomposes over (environment pair, node, parent set): a local
-p-value depends on a DAG only through one node's parent set.  ``mss_discover``
-therefore computes each local test once per discovery and shares it across
-every candidate DAG (at n=4 with 6 environments, 480 tests for 543 DAGs).
+Both scores are sums over nodes of local terms that depend on a DAG only
+through one node's parent set: each (node, parent set) is tested over every
+environment pair and reduced to a local hard count and a local soft term.
+``mss_discover`` and ``mss_score`` both score through ``_score``, which
+tests every (node, parent set) its DAGs ask for in one batch (at n=4 with 6
+environments, 480 tests for 543 DAGs) and sums each DAG's local terms.
 
 The finite-sample test needs only each environment's row count, mean and
 centred scatter matrix: every residual sum of squares is a Schur complement
-of a scatter block.  ``mss_discover`` forms those statistics once and runs
-all of its local tests in one batch of stacked solves and one call per
-distribution tail, so the cost no longer depends on the row count;
-``pair_invariance_pvalue`` runs the same batch on one key.  A key with an
-ill-conditioned parent block is fitted by least squares on the rows.  The
-oracle test stays one key at a time.
+of a scatter block, so a batch runs as stacked solves and one call per
+distribution tail, and its cost does not depend on the row count.  A key
+with an ill-conditioned parent block is fitted by least squares on the rows.
+The oracle test forms each environment's Gaussian moments once per batch.
 """
 
 from __future__ import annotations
@@ -77,19 +77,11 @@ def _gaussian_conditional(mean, cov, i, parents):
     return beta, intercept, resid
 
 
-def _oracle_pvalue(meta_scm: Scm, spec_a, spec_b, node, parents, tol=1e-8):
-    scm_a = apply_intervention(meta_scm, spec_a) if spec_a.targets else meta_scm
-    scm_b = apply_intervention(meta_scm, spec_b) if spec_b.targets else meta_scm
-    pa = _gaussian_conditional(*scm_a.gaussian_moments(), node, parents)
-    pb = _gaussian_conditional(*scm_b.gaussian_moments(), node, parents)
-    same = (np.allclose(pa[0], pb[0], atol=tol)
-            and abs(pa[1] - pb[1]) <= tol
-            and abs(pa[2] - pb[2]) <= tol * max(1.0, pa[2]))
-    return 1.0 if same else 0.0
-
-
 # the regression test needs this many rows per environment for each node
 MIN_ROWS_PER_NODE = 10
+
+# labeled-DAG enumeration stops here: 543 DAGs at n=4, 29,281 at n=5
+MAX_NODES = 4
 
 # the normal equations square the rows' condition number: a key is fitted by
 # least squares on the rows unless each of its parent blocks, scaled to unit
@@ -233,49 +225,62 @@ def _require_rows(data: MultiEnvDataset, envs):
         )
 
 
+def _pvalues(test: CiInvarianceTest, data: MultiEnvDataset, keys) -> np.ndarray:
+    """Local p-values of ``keys`` ``(e_a, e_b, node, parents)``, in one batch.
+
+    The oracle test gives 1.0 where the closed-form conditional of node on
+    parents is the same in both environments and 0.0 where it changes.
+    """
+    envs = {e for key in keys for e in key[:2]}
+    if test.kind == "linear-gaussian":
+        _require_rows(data, envs)
+        return _local_pvalues([env.x for env in data.envs], keys)
+    if not data.has_ground_truth:
+        raise ValueError("oracle test needs a ground-truth sidecar")
+    moments = {e: apply_intervention(data.meta.scm, data.envs[e].spec)
+               .gaussian_moments() for e in envs}
+    tol = 1e-8  # on the conditionals' coefficients, intercept and variance
+    p = []
+    for e_a, e_b, node, parents in keys:
+        (w_a, c_a, v_a), (w_b, c_b, v_b) = (
+            _gaussian_conditional(*moments[e], node, parents) for e in (e_a, e_b))
+        p.append(float(np.allclose(w_a, w_b, atol=tol) and abs(c_a - c_b) <= tol
+                       and abs(v_a - v_b) <= tol * max(1.0, v_a)))
+    return np.array(p)
+
+
 def pair_invariance_pvalue(test: CiInvarianceTest, data: MultiEnvDataset,
                            e_a: int, e_b: int, node: int, parents) -> float:
-    if test.kind == "oracle":
-        if not data.has_ground_truth:
-            raise ValueError("oracle test needs a ground-truth sidecar")
-        return _oracle_pvalue(data.meta.scm, data.envs[e_a].spec,
-                              data.envs[e_b].spec, node, parents)
-    _require_rows(data, (e_a, e_b))
-    xs = [data.envs[e_a].x, data.envs[e_b].x]
-    return float(_local_pvalues(xs, [(0, 1, node, tuple(parents))])[0])
+    return float(_pvalues(test, data, [(e_a, e_b, node, tuple(parents))])[0])
 
 
-def mss_score(dag: Dag, data: MultiEnvDataset, test: CiInvarianceTest,
-              soft_kind: str = "one-minus-p", cache: dict | None = None):
-    """Hard and soft mechanism shift scores of one candidate DAG.
+def _score(dags, data: MultiEnvDataset, test: CiInvarianceTest, soft_kind: str):
+    """Hard and soft mechanism shift scores of each of ``dags``, as two lists.
 
-    ``cache`` maps ``(e_a, e_b, node, parents)`` to the local p-value and is
-    filled on a miss; it is valid for one ``(data, test)`` pair only.  With
-    ``cache=None`` every local test of this DAG is computed afresh.
+    Every (node, parent set) of ``dags`` is tested over all environment
+    pairs in one :func:`_pvalues` call and reduced to a local hard count and
+    a local soft term; a DAG scores the sum of its nodes' local terms.  The
+    soft terms are added pair by pair, then node by node, so a DAG scores
+    the same alone as among others.
     """
     if soft_kind not in ("one-minus-p", "neglogp"):
         raise ValueError("soft_kind must be 'one-minus-p' or 'neglogp'")
-    if cache is None:
-        cache = {}
-    n_env = len(data.envs)
-    hard = 0
-    soft = 0.0
-    for e_a in range(n_env):
-        for e_b in range(e_a + 1, n_env):
-            for node in range(dag.n):
-                parents = dag.parents[node]
-                key = (e_a, e_b, node, parents)
-                p = cache.get(key)
-                if p is None:
-                    # positional call through the module name: tracing
-                    # wrappers rebind it and read the six arguments
-                    p = cache[key] = pair_invariance_pvalue(
-                        test, data, e_a, e_b, node, parents)
-                hard += int(p < test.alpha)
-                if soft_kind == "one-minus-p":
-                    soft += 1.0 - p
-                else:
-                    soft += -float(np.log(max(p, 1e-300)))
+    families = sorted({f for dag in dags for f in enumerate(dag.parents)})
+    pairs = list(combinations(range(len(data.envs)), 2))
+    keys = [(e_a, e_b, node, ps) for e_a, e_b in pairs for node, ps in families]
+    p = _pvalues(test, data, keys).reshape(len(pairs), len(families))
+    hard = (p < test.alpha).sum(axis=0)
+    terms = 1.0 - p if soft_kind == "one-minus-p" else -np.log(np.maximum(p, 1e-300))
+    soft = sum(terms, np.zeros(len(families)))  # row by row, in pair order
+    index = {f: j for j, f in enumerate(families)}
+    at = np.array([[index[f] for f in enumerate(dag.parents)] for dag in dags])
+    return sum(hard[at.T]).tolist(), sum(soft[at.T]).tolist()
+
+
+def mss_score(dag: Dag, data: MultiEnvDataset, test: CiInvarianceTest,
+              soft_kind: str = "one-minus-p"):
+    """Hard and soft mechanism shift scores of one candidate DAG."""
+    (hard,), (soft,) = _score([dag], data, test, soft_kind)
     return hard, soft
 
 
@@ -290,35 +295,15 @@ class MssResult:
 
 def mss_discover(data: MultiEnvDataset, test: CiInvarianceTest, n: int,
                  soft_kind: str = "one-minus-p") -> MssResult:
-    """Score every labeled DAG on ``n <= 4`` nodes and return the minimizer set
-    (by hard score, ranked by soft score).
-
-    With the linear-gaussian test every (pair, node, parent set) p-value is
-    computed in one batch first, so ``mss_score`` reads them all from the
-    shared cache."""
-    if n > 4:
-        raise CapacityError("mss_discover enumerates labeled DAGs only up to n=4")
+    """Score every labeled DAG on ``n <= MAX_NODES`` nodes and return the
+    minimizer set (by hard score, ranked by soft score)."""
+    if n > MAX_NODES:
+        raise CapacityError(
+            f"mss_discover enumerates labeled DAGs only up to n={MAX_NODES}")
     if n != data.d:
         raise ValueError("n must match the observed dimension (identity mixing)")
     dags = enumerate_dags(n)
-    cache = {}
-    if test.kind == "linear-gaussian":
-        # every (pair, node, parent set) a DAG on n nodes can ask for
-        keys = [(e_a, e_b, node, ps)
-                for e_a in range(len(data.envs))
-                for e_b in range(e_a + 1, len(data.envs))
-                for node in range(n)
-                for r in range(n)
-                for ps in combinations([j for j in range(n) if j != node], r)]
-        if keys:
-            _require_rows(data, range(len(data.envs)))
-            pvalues = _local_pvalues([env.x for env in data.envs], keys)
-            cache = dict(zip(keys, pvalues.tolist()))
-    hard, soft = [], []
-    for dag in dags:
-        h, s = mss_score(dag, data, test, soft_kind, cache)
-        hard.append(h)
-        soft.append(s)
+    hard, soft = _score(dags, data, test, soft_kind)
     order = sorted(range(len(dags)), key=lambda i: (hard[i], soft[i]))
     h_min = min(hard)
     minimizers = [i for i in order if hard[i] == h_min]

@@ -9,7 +9,7 @@ kernel-ridge R^2 against the ground-truth latents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,6 +115,11 @@ class ContentExperimentConfig:
     krr: KrrConfig = field(default_factory=KrrConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        # the encoder trains and the kernel ridge splits with this seed
+        object.__setattr__(self, "train", replace(self.train, seed=self.seed))
+        object.__setattr__(self, "krr", replace(self.krr, seed=self.seed))
+
     def to_dict(self):
         return {
             "n_pairs": self.n_pairs,
@@ -148,9 +153,7 @@ def encode_content(proc: MultiViewProcess, cfg: ContentExperimentConfig):
     out_dim = cfg.encoder_out or proc.n_c
     encoder = EncoderMlp((d, *cfg.encoder_hidden, out_dim))
     encoder.init_params(child_seed(cfg.seed, "encoder"))
-    train_cfg = cfg.train if cfg.train.seed == cfg.seed else \
-        TrainConfig(**{**cfg.train.to_dict(), "seed": cfg.seed})
-    result = train_align_maxent(encoder, (pairs.x, pairs.x_tilde), train_cfg)
+    result = train_align_maxent(encoder, (pairs.x, pairs.x_tilde), cfg.train)
 
     c_hat = result.model.forward(eval_pairs.x)
     targets = {"content": eval_pairs.z[:, :proc.n_c],
@@ -160,10 +163,7 @@ def encode_content(proc: MultiViewProcess, cfg: ContentExperimentConfig):
 
 def score_content(features, targets, cfg: ContentExperimentConfig) -> MetricReport:
     """Kernel-ridge R^2 of each target block from the encoded features."""
-    krr_cfg = KrrConfig(**{**{k: getattr(cfg.krr, k)
-                              for k in cfg.krr.__dataclass_fields__},
-                           "seed": cfg.seed})
-    r2 = krr_r2(features, targets, krr_cfg)
+    r2 = krr_r2(features, targets, cfg.krr)
     resolved = cfg.to_dict()
     return MetricReport(seed=cfg.seed, config_hash=config_hash(resolved),
                         r2_per_block=r2, config=resolved)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from crl_lab import flow, metrics, mss, multienv, multiview, scm
+
 _TRACING = Path(__file__).resolve().parents[1] / "crlbench" / "tracing.py"
 
 
@@ -28,3 +30,13 @@ HOOKS = ([(mod, path) for _, mod, path in tracing.SPANS]
 def test_traced_name_resolves(mod_name, path):
     owner, attr = tracing._owner(importlib.import_module(f"crl_lab.{mod_name}"), path)
     assert callable(getattr(owner, attr))
+
+
+def test_modules_share_the_bindings_the_tracer_replaces():
+    # the tracer rebinds a function in every module that holds the same
+    # object, and its self-check reads these sites: a module that wraps or
+    # redefines one of them instead would escape the trace
+    assert mss.enumerate_dags is scm.enumerate_dags
+    assert multiview.krr_r2 is metrics.krr_r2
+    assert multiview.train_align_maxent is flow.train_align_maxent
+    assert multienv.Adam is flow.Adam

@@ -120,6 +120,7 @@ class TestConfigs:
         ("ima-train", {"epochs": 0}, "epochs"),
         ("ima-train", {"batch_size": 1}, "batch_size"),
         ("multiview", {"statistical": 1}, "statistical"),
+        ("mss", {"n_envs": 1}, "n_envs"),
     ])
     def test_invalid_value_exits_1_with_message(self, tmp_path, capsys,
                                                 command, config, key):
@@ -192,6 +193,25 @@ class TestCommands:
                         "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"at least {10 * n} rows" in err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("n, n_envs, message", [
+        (5, 3, "only up to n=4; "), (2, 1, "has 1 environment"),
+    ], ids=["five-columns", "one-environment"])
+    def test_mss_dataset_out_of_range_exits_1_before_writing(
+            self, tmp_path, capsys, n, n_envs, message):
+        gen_cfg = tmp_path / "gen.json"
+        gen_cfg.write_text(json.dumps({"process": "mss", "n": n, "n_envs": n_envs,
+                                       "rows_per_env": 100}))
+        assert cli.run(["gen-data", "--config", str(gen_cfg),
+                        "--out", str(tmp_path / "gen")]) == 0
+        (tmp_path / "mss.json").write_text(json.dumps(
+            {"dataset": str(tmp_path / "gen" / "dataset.csv")}))
+        out = tmp_path / "mss"
+        assert cli.run(["mss", "--config", str(tmp_path / "mss.json"),
+                        "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not any(out.iterdir())
 
     def test_mss_oracle_runs_on_few_rows(self, tmp_path):

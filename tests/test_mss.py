@@ -45,6 +45,19 @@ def _finite_sample_pvalue(xa, ya, xb, yb):
     return float(chdtrc(4, fisher))
 
 
+def _oracle_pvalue(meta_scm, spec_a, spec_b, node, parents, tol=1e-8):
+    """1.0 if node's closed-form conditional on parents is the same in both
+    environments, else 0.0; the moments are formed afresh for each key."""
+    scm_a = scm.apply_intervention(meta_scm, spec_a) if spec_a.targets else meta_scm
+    scm_b = scm.apply_intervention(meta_scm, spec_b) if spec_b.targets else meta_scm
+    pa = mss._gaussian_conditional(*scm_a.gaussian_moments(), node, parents)
+    pb = mss._gaussian_conditional(*scm_b.gaussian_moments(), node, parents)
+    same = (np.allclose(pa[0], pb[0], atol=tol)
+            and abs(pa[1] - pb[1]) <= tol
+            and abs(pa[2] - pb[2]) <= tol * max(1.0, pa[2]))
+    return 1.0 if same else 0.0
+
+
 def all_keys(n, n_envs):
     return [(a, b, node, ps) for a in range(n_envs) for b in range(a + 1, n_envs)
             for node in range(n) for r in range(n)
@@ -56,6 +69,18 @@ def reference_pvalues(data, n):
     return {key: _finite_sample_pvalue(xs[key[0]][:, list(key[3])], xs[key[0]][:, key[2]],
                                        xs[key[1]][:, list(key[3])], xs[key[1]][:, key[2]])
             for key in all_keys(n, len(xs))}
+
+
+def loop_score(dag, pvalues, n_envs, alpha=0.05):
+    """Hard and one-minus-p soft score as the plain loop over the pairs and
+    then the nodes, from a dict of p-values."""
+    hard, soft = 0, 0.0
+    for a, b in combinations(range(n_envs), 2):
+        for node, ps in enumerate(dag.parents):
+            p = pvalues[(a, b, node, ps)]
+            hard += int(p < alpha)
+            soft += 1.0 - p
+    return hard, soft
 
 
 def two_env_marginal_shift(rows=600):
@@ -82,8 +107,7 @@ class TestMssScore:
         data = two_env_marginal_shift()
         solo = scm.MultiEnvDataset((data.envs[0],), 0, data.meta)
         calls = []
-        monkeypatch.setattr(mss, "pair_invariance_pvalue",
-                            lambda *args: calls.append(args))
+        monkeypatch.setattr(mss, "_pvalues", lambda *args: calls.append(args))
         dag = scm.Dag(2, ((), (0,)))
         for d in (solo, data):
             with pytest.raises(ValueError):
@@ -218,6 +242,21 @@ class TestSufficientStatistics:
                                              xs[b][:, ps], xs[b][:, node])
             assert p == pytest.approx(expected, rel=1e-9, abs=1e-300)
 
+    @pytest.mark.parametrize("n, n_envs, rows, seeds", [
+        (3, 5, 100, range(6)), (4, 4, 50, range(2)),
+    ], ids=["n3", "n4"])
+    def test_oracle_table_matches_per_key_reference(self, n, n_envs, rows, seeds):
+        oracle = mss.CiInvarianceTest("oracle")
+        for seed in seeds:
+            data = mss.generate_mss_problem(n, n_envs, rows, seed=seed)
+            keys = all_keys(n, n_envs)
+            got = mss._pvalues(oracle, data, keys)
+            expected = [_oracle_pvalue(data.meta.scm, data.envs[a].spec,
+                                       data.envs[b].spec, node, ps)
+                        for a, b, node, ps in keys]
+            assert got.tolist() == expected
+            assert 0 < sum(expected) < len(keys)  # both outcomes occur
+
     def test_pair_pvalue_is_a_batch_of_one(self):
         data = mss.generate_mss_problem(3, 3, 400, seed=2)
         test = mss.CiInvarianceTest("linear-gaussian")
@@ -265,8 +304,8 @@ class TestMssDiscover:
         (3, 3, 300, range(10), ("linear-gaussian", "oracle")),
         (4, 2, 200, range(2), ("linear-gaussian",)),
     ], ids=["n3", "n4"])
-    def test_shared_cache_matches_uncached_scores(self, n, n_envs, rows, seeds,
-                                                  kinds):
+    def test_standalone_scores_match_discovery(self, n, n_envs, rows, seeds,
+                                               kinds):
         for seed in seeds:
             data = mss.generate_mss_problem(n, n_envs, rows, seed=seed)
             for kind in kinds:
@@ -290,18 +329,23 @@ class TestMssDiscover:
         (4, 6, 2000, range(2)),
     ], ids=["n3", "n4"])
     def test_discovery_matches_least_squares_reference(self, n, n_envs, rows,
-                                                       seeds):
+                                                       seeds, monkeypatch):
         test = mss.CiInvarianceTest("linear-gaussian")
         for seed in seeds:
             data = mss.generate_mss_problem(n, n_envs, rows, seed=seed)
             ref = reference_pvalues(data, n)
             res = mss.mss_discover(data, test, n)
-            # mss_score reads every p-value from the reference cache
-            scores = [mss.mss_score(d, data, test, cache=dict(ref))
-                      for d in res.dags]
-            hard = tuple(h for h, _ in scores)
-            soft = [s for _, s in scores]
-            ranking = tuple(sorted(range(len(scores)),
+            # the scorer reads every p-value from the reference
+            with monkeypatch.context() as m:
+                m.setattr(mss, "_pvalues",
+                          lambda _test, _data, keys: np.array([ref[k] for k in keys]))
+                hard, soft = mss._score(res.dags, data, test, "one-minus-p")
+            loop = [loop_score(d, ref, n_envs) for d in res.dags]
+            assert hard == [h for h, _ in loop]
+            # at most 60 terms in [0, 1], added in another order
+            np.testing.assert_allclose(soft, [s for _, s in loop], rtol=1e-13, atol=0)
+            hard = tuple(hard)
+            ranking = tuple(sorted(range(len(hard)),
                                    key=lambda i: (hard[i], soft[i])))
             assert res.hard == hard
             assert res.ranking == ranking
@@ -312,18 +356,20 @@ class TestMssDiscover:
     @pytest.mark.parametrize("n", [3, 4])
     def test_each_local_test_computed_once(self, n, monkeypatch):
         data = mss.generate_mss_problem(n, 6, 300, seed=n)
-        real = mss.pair_invariance_pvalue
-        keys = []
+        real = mss._pvalues
+        for kind in ("oracle", "linear-gaussian"):
+            calls = []
 
-        def counting(*args, **kwargs):
-            assert not kwargs and len(args) == 6
-            _, _, e_a, e_b, node, parents = args
-            keys.append((e_a, e_b, node, tuple(parents)))
-            return real(*args)
+            def counting(*args, **kwargs):
+                assert not kwargs and len(args) == 3
+                calls.append(list(args[2]))
+                return real(*args)
 
-        monkeypatch.setattr(mss, "pair_invariance_pvalue", counting)
-        mss.mss_discover(data, mss.CiInvarianceTest("oracle"), n)
-        assert len(keys) == len(set(keys)) == 15 * n * 2 ** (n - 1)
+            monkeypatch.setattr(mss, "_pvalues", counting)
+            mss.mss_discover(data, mss.CiInvarianceTest(kind), n)
+            assert len(calls) == 1
+            keys = calls[0]
+            assert len(keys) == len(set(keys)) == 15 * n * 2 ** (n - 1)
 
     def test_capacity_guard(self):
         data = two_env_marginal_shift()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crl_lab import flow, multiview
+from crl_lab import flow, metrics, multiview
 from crl_lab.errors import ConfigError
 
 
@@ -90,3 +90,11 @@ class TestContentExperiment:
             r2[dim] = rep.r2_per_block
         assert r2[1]["content"] < r2[2]["content"]
         assert r2[4]["style"] > r2[2]["style"]
+
+    def test_config_records_the_seeds_it_runs_with(self):
+        cfg = multiview.ContentExperimentConfig(
+            train=flow.TrainConfig(seed=5), krr=metrics.KrrConfig(seed=7), seed=1)
+        assert cfg.train.seed == cfg.krr.seed == 1
+        resolved = cfg.to_dict()
+        assert resolved["train"]["seed"] == resolved["krr"]["seed"] == 1
+        assert cfg.train == flow.TrainConfig(seed=1)
