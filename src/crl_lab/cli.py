@@ -329,14 +329,21 @@ def save_dataset(ds: scm_mod.MultiEnvDataset, path, ctx: RunContext | None = Non
     return written
 
 
+# rows per ``%`` call in _write_env_csv; a whole block's text at once costs memory
+_CSV_CHUNK_ROWS = 256
+
+
 def _write_env_csv(targets, blocks):
     """One row per sample: the block's index as env_id, then the values.
 
     Every ``(path, prefix)`` target gets the same rows under its own column
-    prefix; each row is formatted once and written to every target.
+    prefix.  A block is formatted in chunks of ``_CSV_CHUNK_ROWS`` rows, each
+    by one ``%`` call on a repeated ``"<e>,%.16e,...\\n"`` row template, and
+    each chunk's text is written to every target.  ``%.16e`` is the same
+    conversion as ``_FLOAT_FMT``, so the bytes equal a row-by-row
+    ``"{:.16e}".format`` writer's.
     """
     d = blocks[0].shape[1]
-    row = "{}," + ",".join([_FLOAT_FMT] * d) + "\n"
     files = []
     try:
         for path, prefix in targets:
@@ -344,10 +351,12 @@ def _write_env_csv(targets, blocks):
             files[-1].write(",".join(["env_id"] + [f"{prefix}_{j}" for j in range(d)])
                             + "\n")
         for e, block in enumerate(blocks):
-            for vals in block.tolist():
-                line = row.format(e, *vals)
+            row = f"{e}" + ",%.16e" * d + "\n"
+            for start in range(0, len(block), _CSV_CHUNK_ROWS):
+                chunk = block[start:start + _CSV_CHUNK_ROWS]
+                text = (row * len(chunk)) % tuple(chunk.ravel().tolist())
                 for fh in files:
-                    fh.write(line)
+                    fh.write(text)
     finally:
         for fh in files:
             fh.close()

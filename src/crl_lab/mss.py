@@ -89,6 +89,10 @@ MAX_NODES = 4
 _COND_MAX = 1e6
 
 
+# keys per stacked solve in _local_rss, which bounds the batch's memory
+_KEY_CHUNK = 4096
+
+
 def _rss_lstsq(x, y):
     """Residual sum of squares of least squares with intercept on the rows."""
     X = np.column_stack([np.ones(x.shape[0]), x])
@@ -187,7 +191,9 @@ def _local_rss(xs, keys) -> np.ndarray:
     once; every key's three residual sums of squares then come from stacked
     solves on its parent blocks, so the cost does not grow with the rows.
     Keys with a singular or ill-conditioned parent block are fitted by least
-    squares on the rows.
+    squares on the rows.  Keys with the same parent-set size are solved in
+    chunks of at most ``_KEY_CHUNK``; no key's solve depends on another, so
+    the chunks change no value.
     """
     n = np.array([x.shape[0] for x in xs])
     mean = np.stack([x.mean(axis=0) for x in xs])
@@ -197,15 +203,18 @@ def _local_rss(xs, keys) -> np.ndarray:
     size = np.array([len(key[3]) for key in keys], dtype=int)
     rss = np.empty((len(keys), 3))
     for k in np.unique(size):
-        idx = np.flatnonzero(size == k)
-        parents = np.array([keys[j][3] for j in idx], dtype=int).reshape(len(idx), k)
-        rss[idx], ok = _rss_from_stats(n, mean, scatter, e_a[idx], e_b[idx],
-                                       node[idx], parents)
-        for j in idx[~ok]:
-            a, b, i, ps = keys[j]
-            ps = list(ps)
-            pooled = np.concatenate([xs[a], xs[b]])
-            rss[j] = [_rss_lstsq(x[:, ps], x[:, i]) for x in (xs[a], xs[b], pooled)]
+        group = np.flatnonzero(size == k)
+        for idx in np.split(group, range(_KEY_CHUNK, len(group), _KEY_CHUNK)):
+            parents = np.array([keys[j][3] for j in idx],
+                               dtype=int).reshape(len(idx), k)
+            rss[idx], ok = _rss_from_stats(n, mean, scatter, e_a[idx], e_b[idx],
+                                           node[idx], parents)
+            for j in idx[~ok]:
+                a, b, i, ps = keys[j]
+                ps = list(ps)
+                pooled = np.concatenate([xs[a], xs[b]])
+                rss[j] = [_rss_lstsq(x[:, ps], x[:, i])
+                          for x in (xs[a], xs[b], pooled)]
     return rss
 
 

@@ -36,7 +36,8 @@ class Dag:
     smaller than its child), which is the convention used throughout the
     latent-variable experiments.  ``ordered=False`` lifts that restriction
     (needed when enumerating all labeled DAGs) and validates acyclicity
-    explicitly.
+    explicitly, by peeling off sources over parent-set bitmasks; a graph
+    with a directed cycle raises :class:`CycleError`.
     """
 
     n: int
@@ -62,9 +63,26 @@ class Dag:
                     raise ValueError(
                         f"ordered graph requires parent < child, got {p} -> {i}"
                     )
-        # ordered graphs are acyclic by construction
+        # ordered graphs are acyclic by construction; otherwise peel off the
+        # sources (nodes without a parent left) until no node is left, or
+        # none is a source
         if not self.ordered:
-            self.topological_order()
+            masks = []
+            for ps in parents:
+                mask = 0
+                for p in ps:
+                    mask |= 1 << p
+                masks.append(mask)
+            left = (1 << self.n) - 1
+            while left:
+                sources = 0
+                for i, mask in enumerate(masks):
+                    if not mask & left:
+                        sources |= 1 << i
+                sources &= left
+                if not sources:
+                    raise CycleError("graph contains a directed cycle")
+                left ^= sources
 
     def topological_order(self) -> list:
         """Kahn's algorithm; raises :class:`CycleError` on a cycle."""
@@ -159,7 +177,14 @@ def d_separated(dag: Dag, i: int, j: int, given) -> bool:
 
 
 def enumerate_dags(n: int) -> list:
-    """All labeled DAGs on ``n`` nodes (``n <= 4``), in unordered mode."""
+    """All labeled DAGs on ``n`` nodes (``n <= 4``), in unordered mode.
+
+    Every directed edge set is one boolean adjacency matrix, in
+    ``itertools.product`` order over the ordered node pairs; the nilpotent
+    (acyclic) ones are kept.  Each node's parent set is read off its matrix
+    column as a bitmask and mapped through a table of the ``2**n`` parent
+    tuples.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n > 4:
@@ -178,11 +203,12 @@ def enumerate_dags(n: int) -> list:
     walks = adj
     for _ in range(n - 1):
         walks = walks @ adj
-    acyclic = adj[~walks.any(axis=(1, 2))].transpose(0, 2, 1).tolist()
-    # row b of a transposed matrix flags node b's parents
-    return [Dag(n, tuple(tuple(a for a, on in enumerate(row) if on) for row in dag),
-                ordered=False)
-            for dag in acyclic]
+    acyclic = adj[~walks.any(axis=(1, 2))]
+    # bit a of masks[t, b] flags edge a -> b: node b's parent set as a bitmask
+    masks = (acyclic << np.arange(n)[:, None]).sum(axis=1).tolist()
+    parent_sets = [tuple(a for a in range(n) if s >> a & 1) for s in range(2 ** n)]
+    return [Dag(n, tuple(parent_sets[s] for s in row), ordered=False)
+            for row in masks]
 
 
 # ---------------------------------------------------------------------------

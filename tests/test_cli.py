@@ -83,6 +83,43 @@ class TestDatasetRoundTrip:
                          ("data.latents.csv", "ref.latents.csv")):
             assert (tmp_path / got).read_bytes() == (tmp_path / ref).read_bytes()
 
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "separate"])
+    def test_chunked_writer_bytes_equal_row_by_row_format(self, tmp_path, d,
+                                                          shared):
+        # blocks around the 256-row chunk edge; the special values are the
+        # signed zero, the smallest subnormal and normal, the largest float,
+        # and values whose 17th significant digit rounds
+        special = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                   0.1, 2.0 / 3.0, 1.0 - 2.0 ** -53, 123456789.12345679]
+        rng = np.random.default_rng(0)
+        blocks = []
+        for rows in (1, 255, 256, 257, 2000):
+            block = rng.standard_normal((rows, d)) * 10.0 ** rng.integers(
+                -300, 300, size=(rows, d))
+            flat = block.reshape(-1)
+            flat[:len(special)] = special[:flat.size]
+            blocks.append(block)
+        targets = [(tmp_path / "x.csv", "x")]
+        if shared:
+            targets.append((tmp_path / "v.csv", "v"))
+        cli._write_env_csv(targets, blocks)
+        if not shared:
+            cli._write_env_csv([(tmp_path / "v.csv", "v")], blocks)
+        for path, prefix in ((tmp_path / "x.csv", "x"), (tmp_path / "v.csv", "v")):
+            ref = ",".join(["env_id"] + [f"{prefix}_{j}" for j in range(d)]) + "\n"
+            ref += "".join(f"{e}," + ",".join("{:.16e}".format(v) for v in row) + "\n"
+                           for e, block in enumerate(blocks)
+                           for row in block.tolist())
+            assert path.read_text() == ref
+        (tmp_path / "x.meta.json").write_text(json.dumps({"latents": "v.csv"}))
+        loaded = cli.load_dataset(tmp_path / "x.csv")
+        assert len(loaded.envs) == len(blocks)
+        for block, env in zip(blocks, loaded.envs):
+            np.testing.assert_array_equal(env.x, block)
+            np.testing.assert_array_equal(env.v, block)
+            assert np.array_equal(np.signbit(env.x), np.signbit(block))
+
     def test_wrong_header_rejected(self, tmp_path):
         (tmp_path / "bad.csv").write_text("a,b\n1,2\n")
         with pytest.raises(DatasetFormatError, match="env_id"):
@@ -172,6 +209,24 @@ class TestCommands:
         rows = (out / "mss.csv").read_text().splitlines()
         assert rows[0] == "dag_id,edges,hard,soft,minimizer,rank"
         assert len(rows) == 4  # 3 labeled DAGs on 2 nodes
+
+    @pytest.mark.parametrize("command,config", [
+        ("mss", {"n": 3, "n_envs": 3, "rows_per_env": 60}),
+        ("gen-data", None),
+    ])
+    def test_repeated_run_writes_the_same_bytes(self, tmp_path, command, config):
+        argv = [command, "--seed", "3"]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        artifacts = []
+        for run in ("a", "b"):
+            assert cli.run(argv + ["--out", str(tmp_path / run)]) == 0
+            artifacts.append({p.name: p.read_bytes()
+                              for p in (tmp_path / run).iterdir()
+                              if p.name != "manifest.json"})
+        assert artifacts[0] == artifacts[1]
+        assert "dataset.csv" in artifacts[0]
 
     @pytest.mark.parametrize("n, rows, from_file", [
         (3, 29, False), (2, 15, False), (2, 15, True),

@@ -219,6 +219,21 @@ class TestSufficientStatistics:
         expected = np.array([_key_rss(xs, key) for key in keys])
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
 
+    def test_chunked_batch_equals_one_batch(self, monkeypatch):
+        data = mss.generate_mss_problem(6, 4, 200, seed=3)
+        xs = [env.x for env in data.envs]
+        keys = all_keys(6, 4)
+        assert len(keys) == 1152
+        one_batch = mss._local_rss(xs, keys)
+        sizes = []
+        real = mss._rss_from_stats
+        monkeypatch.setattr(mss, "_rss_from_stats",
+                            lambda *a: sizes.append(len(a[-1])) or real(*a))
+        monkeypatch.setattr(mss, "_KEY_CHUNK", 333)
+        chunked = mss._local_rss(xs, keys)
+        assert max(sizes) == 333 and len(sizes) > 6  # some group was split
+        assert np.array_equal(chunked, one_batch)
+
     def test_duplicated_parent_column_falls_back_to_rows(self, monkeypatch):
         rng = np.random.default_rng(5)
         xs = []

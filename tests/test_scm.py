@@ -251,6 +251,72 @@ class TestDSeparation:
                         assert abs(rho) > 5.0 / np.sqrt(n)
 
 
+def _kahn_acyclic(n, parents):
+    """Reference acyclicity check: Kahn's algorithm, as in
+    ``Dag.topological_order``."""
+    indeg = [len(ps) for ps in parents]
+    children = [[] for _ in range(n)]
+    for i, ps in enumerate(parents):
+        for p in ps:
+            children[p].append(i)
+    frontier = sorted(i for i in range(n) if indeg[i] == 0)
+    order = []
+    while frontier:
+        i = frontier.pop(0)
+        order.append(i)
+        for c in children[i]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                frontier.append(c)
+        frontier.sort()
+    return len(order) == n
+
+
+@st.composite
+def _parent_lists(draw):
+    """(n <= 5, parents): each node's parents, any order, never the node."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    parents = []
+    for i in range(n):
+        ps = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
+        parents.append(tuple(p for p in ps if p != i))
+    return n, tuple(parents)
+
+
+class TestDagChecks:
+    @given(_parent_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_cycle_error_exactly_when_kahn_finds_a_cycle(self, graph):
+        n, parents = graph
+        try:
+            dag = scm.Dag(n, parents, ordered=False)
+        except CycleError:
+            assert not _kahn_acyclic(n, parents)
+        else:
+            assert _kahn_acyclic(n, parents)
+            assert dag.parents == tuple(tuple(sorted(ps)) for ps in parents)
+
+    @given(_parent_lists(), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_malformed_parent_sets_raise_their_errors(self, graph, ordered, data):
+        n, parents = graph
+        if ordered:  # an ordered graph's parent sets keep to parent < child
+            parents = tuple(tuple(p for p in ps if p < i)
+                            for i, ps in enumerate(parents))
+        node = data.draw(st.integers(min_value=0, max_value=n - 1))
+        faults = [(node, CycleError, "lists itself"),
+                  (data.draw(st.sampled_from([-1, n, n + 3])), ValueError,
+                   "out-of-range parent")]
+        if parents[node]:
+            faults.append((parents[node][0], ValueError, "duplicate parent"))
+        extra, error, message = data.draw(st.sampled_from(faults))
+        bad = list(parents)
+        bad[node] = parents[node] + (extra,)
+        with pytest.raises(error, match=message) as info:
+            scm.Dag(n, tuple(bad), ordered=ordered)
+        assert isinstance(info.value, CycleError) == (error is CycleError)
+
+
 class TestEnumerateDags:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 25)])
     def test_counts(self, n, count):
@@ -265,7 +331,7 @@ class TestEnumerateDags:
     def test_same_list_as_edge_set_loop(self, n):
         # the list index is mss.csv's dag_id, so the order must hold too:
         # every directed edge set in itertools.product order, cyclic ones
-        # rejected by Dag's own check
+        # rejected by the Kahn reference
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         expected = []
         for bits in itertools.product((0, 1), repeat=len(pairs)):
@@ -273,11 +339,10 @@ class TestEnumerateDags:
             for (a, b), on in zip(pairs, bits):
                 if on:
                     parents[b].append(a)
-            try:
+            if _kahn_acyclic(n, parents):
                 expected.append(scm.Dag(n, tuple(tuple(p) for p in parents),
                                         ordered=False))
-            except CycleError:
-                continue
+        assert len(expected) == [1, 3, 25, 543][n - 1]
         assert scm.enumerate_dags(n) == expected
 
     def test_capacity_guard(self):
