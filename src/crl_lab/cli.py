@@ -164,7 +164,6 @@ _VALID = {
     "moebius_seed": _int(0),
     "n_seeds": _int(1),
     "lambdas": _list(_num(0)),
-    "rows": _int(2),
     "epochs": _int(1),
     "lr": _num(0, open_bounds=True),
     "batch_size": _int(2),
@@ -173,14 +172,20 @@ _VALID = {
     "statistical": _one_of(False, True),
     "causal": _one_of(False, True),
     "change_prob": _num(0, 1),
-    "n_pairs": _int(2),
     "seeds": _list(_int(0)),
     "n_couplings": _int(1),
     "hidden": _list(_int(1), min_len=0),
     "test": _one_of("linear-gaussian", "oracle"),
     "alpha": _num(0, 1, open_bounds=True),
     "edge_weight": _num(),
-    "edge": _list(_int(0, 1), 2, 2),
+    # the influence model's graph has the one edge 0 -> 1
+    "edge": (lambda v: v == [0, 1] and all(type(x) is int for x in v),
+             "[0, 1], the graph's one edge"),
+    # the smallest sizes whose first epoch takes an optimizer step: below
+    # them the validation split leaves no mini-batch of two training rows
+    "ima-train:rows": _int(3),
+    "multiview:n_pairs": _int(3),
+    "crl-sweep:rows_per_env": _int(2),
 }
 
 
@@ -464,19 +469,31 @@ def _build_mixing(spec):
     if spec == "polar":
         return mixing.PolarToCartesian()
     if isinstance(spec, dict):
-        return mixing.mixing_from_dict(spec)
+        try:
+            return mixing.mixing_from_dict(spec)
+        except KeyError as exc:
+            raise ConfigError(f"mixing {spec!r} lacks the key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"mixing {spec!r}: {exc}") from exc
     raise ConfigError(f"unsupported mixing spec {spec!r}")
 
 
-def _build_sampler(spec):
-    if spec["kind"] != "box":
+def _build_sampler(spec, n):
+    """The box sampler of a ``source`` spec, over the mixing's n inputs."""
+    if not isinstance(spec, dict) or spec.get("kind") != "box":
         raise ConfigError("only box samplers are supported in configs")
-    return box_sampler(spec["lows"], spec["highs"])
+    bounds_ok, what = _list(_num(), n, n)
+    lows, highs = spec.get("lows"), spec.get("highs")
+    if not (bounds_ok(lows) and bounds_ok(highs)
+            and all(lo <= hi for lo, hi in zip(lows, highs))):
+        raise ConfigError(f"source lows and highs must each be {what}, with "
+                          f"lows <= highs; got {lows!r} and {highs!r}")
+    return box_sampler(lows, highs)
 
 
 def _cmd_ima_eval(ctx: RunContext):
     mix = _build_mixing(ctx.cfg["mixing"])
-    sampler = _build_sampler(ctx.cfg["source"])
+    sampler = _build_sampler(ctx.cfg["source"], mix.n)
     est = global_ima(mix, sampler, n_mc=ctx.cfg["n_mc"], seed=ctx.seed)
     ctx.write_csv("ima_eval.csv",
                   ["estimate", "stderr", "n_mc", "seed"],

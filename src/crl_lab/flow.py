@@ -17,6 +17,10 @@ its exact gradient is the reverse sweep of that recursion, run with
 ``dld = 0`` (:func:`cima_value_and_grad`).  :func:`cima_fd_grad` keeps the
 central finite-difference gradient as an independent reference.
 
+One dense network, :class:`Mlp`, serves both the coupling conditioners (tanh
+hidden layers, linear head) and the InfoNCE encoder :class:`EncoderMlp`
+(leaky-ReLU hidden layers, sigmoid head).
+
 Every trainer (:func:`train_mle`, :func:`train_align_invertible`,
 :func:`train_align_maxent` and ``multienv.fit_candidate``) supplies only its
 loss, gradient and validation objective to the one training loop,
@@ -43,15 +47,37 @@ class CollapseWarning(RuntimeWarning):
 
 
 # ---------------------------------------------------------------------------
-# conditioner MLP (tanh hidden layers, linear output)
+# dense network (the coupling conditioners and the InfoNCE encoder)
 # ---------------------------------------------------------------------------
 
 
-class CondMlp:
-    def __init__(self, widths):
+# Negative-side slope of the leaky ReLU. maximum(a, _LEAK * a) is the leaky
+# ReLU of every float only because 0 < _LEAK < 1.
+_LEAK = 0.1
+
+# activation name -> (h = f(a), dL/da from dL/dh and h)
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda dh, h: dh * (1.0 - h * h)),
+    "linear": (lambda a: a, lambda dh, h: dh),
+    "leaky": (lambda a: np.maximum(a, _LEAK * a),
+              lambda dh, h: dh * ((h > 0) * (1.0 - _LEAK) + _LEAK)),
+    "sigmoid": (lambda a: 1.0 / (1.0 + np.exp(-a)),
+                lambda dh, h: dh * h * (1.0 - h)),
+}
+
+
+class Mlp:
+    """Dense network whose weights live in one flat parameter vector, layer
+    by layer as ``W.ravel()`` then ``b``; the hidden layers and the output
+    head apply the named activations of :data:`_ACTIVATIONS`."""
+
+    def __init__(self, widths, hidden="tanh", out="linear"):
         self.widths = tuple(int(w) for w in widths)
+        self.hidden, self.out = hidden, out
         self.n_params = sum(o * i + o for i, o in
                             zip(self.widths[:-1], self.widths[1:]))
+        self._acts = ([_ACTIVATIONS[hidden]] * (len(self.widths) - 2)
+                      + [_ACTIVATIONS[out]])
 
     def unpack(self, theta):
         """Slice a parameter vector into (W, b) views per layer."""
@@ -64,37 +90,30 @@ class CondMlp:
             out.append((W, b))
         return out
 
-    def init_params(self, rng, zero_last=True):
-        theta = np.empty(self.n_params)
-        off = 0
-        n_layers = len(self.widths) - 1
-        for l, (i, o) in enumerate(zip(self.widths[:-1], self.widths[1:])):
-            last = l == n_layers - 1
-            if last and zero_last:
-                W = np.zeros((o, i))
-            else:
-                W = rng.standard_normal((o, i)) / np.sqrt(i)
-            theta[off:off + o * i] = W.ravel()
-            off += o * i
-            theta[off:off + o] = 0.0
-            off += o
-        return theta
+    def pack(self, layers):
+        """The parameter vector of per-layer (W, b) pairs: the inverse of
+        :meth:`unpack`."""
+        return np.concatenate([p for W, b in layers for p in (W.ravel(), b)])
 
     def forward(self, x, theta, want_jac=False, want_cache=False):
-        """Outputs (m, out) and, with ``want_jac``, d out / d in (m, out, in)
-        (else None), plus the cache :meth:`backward` reads."""
+        """Outputs (m, out) of the inputs x (m, in) and, with ``want_jac``,
+        d out / d in (m, out, in) (else None), plus the cache
+        :meth:`backward` reads.  The Jacobian needs tanh hidden layers and a
+        linear head."""
+        if want_jac and (self.hidden, self.out) != ("tanh", "linear"):
+            raise ValueError("the input Jacobian needs tanh hidden layers and "
+                             f"a linear head, not {self.hidden}/{self.out}")
         layers = self.unpack(theta)
         hs, JAs, Jhs = [x], [], [None]
         h, Jh = x, None
-        for l, (W, b) in enumerate(layers):
-            a = h @ W.T + b
-            last = l == len(layers) - 1
-            h = a if last else np.tanh(a)
+        last = len(layers) - 1
+        for l, ((W, b), (act, _)) in enumerate(zip(layers, self._acts)):
+            h = act(h @ W.T + b)
             hs.append(h)
             if want_jac:
                 # at the input layer Jh = I, so JA = W (broadcast over rows)
                 JA = W[None] if Jh is None else W @ Jh
-                Jh = JA if last else (1.0 - h * h)[..., None] * JA
+                Jh = JA if l == last else (1.0 - h * h)[..., None] * JA
                 JAs.append(JA)
                 Jhs.append(Jh)
         cache = (hs, JAs, Jhs, layers) if want_cache else None
@@ -110,10 +129,10 @@ class CondMlp:
         for l in reversed(range(len(layers))):
             W, _ = layers[l]
             h = hs[l + 1]
-            if l == len(layers) - 1:
+            if dJ is None:
+                da = self._acts[l][1](dh, h)
+            elif l == len(layers) - 1:
                 da, dJA = dh, dJ
-            elif dJ is None:
-                da = dh * (1.0 - h * h)
             else:
                 # h = tanh(a) and Jh = (1 - h^2) JA; d(1 - h^2)/da is
                 # tanh'' = -2 tanh (1 - tanh^2)
@@ -122,17 +141,18 @@ class CondMlp:
                 da = q * (dh - 2.0 * h * dq)
                 dJA = q[..., None] * dJ
             o, i = W.shape
-            dW = da.T @ hs[l]
-            if dJ is not None:
-                # JA = W @ Jh, with Jh = I at the input layer
-                dW = dW + (dJA.sum(axis=0) if l == 0 else
-                           np.einsum("moi,mhi->oh", dJA, Jhs[l]))
-                if l:
-                    dJ = W.T @ dJA
             off -= o
             dtheta[off:off + o] = da.sum(axis=0)
             off -= o * i
-            dtheta[off:off + o * i] = dW.ravel()
+            # dL/dW is formed in its own slice of dtheta, with no temporary
+            dW = dtheta[off:off + o * i].reshape(o, i)
+            np.matmul(da.T, hs[l], out=dW)
+            if dJ is not None:
+                # JA = W @ Jh, with Jh = I at the input layer
+                dW += (dJA.sum(axis=0) if l == 0 else
+                       np.einsum("moi,mhi->oh", dJA, Jhs[l]))
+                if l:
+                    dJ = W.T @ dJA
             dh = da @ W
         return dh, dtheta
 
@@ -157,11 +177,17 @@ class CouplingLayer:
         k = len(self.chg_idx)
         self.k_chg = k
         self.s_max = float(s_max)
-        self.mlp = CondMlp((len(self.keep_idx), *hidden, 2 * k))
+        self.mlp = Mlp((len(self.keep_idx), *hidden, 2 * k))
         self.n_params = self.mlp.n_params
 
     def init_params(self, rng):
-        return self.mlp.init_params(rng)
+        """Scaled normal hidden weights and a zero head, so that a new layer
+        starts as the identity; all biases zero."""
+        shapes = list(zip(self.mlp.widths[1:], self.mlp.widths[:-1]))
+        layers = [(rng.standard_normal((o, i)) / np.sqrt(i), np.zeros(o))
+                  for o, i in shapes[:-1]]
+        o, i = shapes[-1]
+        return self.mlp.pack(layers + [(np.zeros((o, i)), np.zeros(o))])
 
     def enc(self, v, theta, J=None, want_cache=False):
         k = self.k_chg
@@ -761,78 +787,22 @@ def train_align_invertible(flow: FlowModel, pairs, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 
-# Negative-side slope of EncoderMlp's leaky ReLU. maximum(a, _LEAK * a) is the
-# leaky ReLU of every float only because 0 < _LEAK < 1.
-_LEAK = 0.1
-
-
-class EncoderMlp:
-    """MLP encoder with leaky-ReLU hidden layers and a sigmoid output head."""
+class EncoderMlp(Mlp):
+    """The InfoNCE encoder: an :class:`Mlp` with leaky-ReLU hidden layers and
+    a sigmoid output head, which holds its own parameter vector ``theta``."""
 
     def __init__(self, widths, theta=None):
-        self.widths = tuple(int(w) for w in widths)
-        self.n_params = sum(o * i + o for i, o in
-                            zip(self.widths[:-1], self.widths[1:]))
+        super().__init__(widths, hidden="leaky", out="sigmoid")
         self.theta = (np.zeros(self.n_params) if theta is None
                       else np.asarray(theta, dtype=float).copy())
 
-    def _unpack(self, theta):
-        out, off = [], 0
-        for i, o in zip(self.widths[:-1], self.widths[1:]):
-            W = theta[off:off + o * i].reshape(o, i)
-            off += o * i
-            b = theta[off:off + o]
-            off += o
-            out.append((W, b))
-        return out
-
     def init_params(self, seed):
+        """He-normal weights and zero biases."""
         rng = spawn(seed, "encoder-init")
-        theta = np.empty(self.n_params)
-        off = 0
-        for i, o in zip(self.widths[:-1], self.widths[1:]):
-            theta[off:off + o * i] = (rng.standard_normal((o, i))
-                                      * np.sqrt(2.0 / i)).ravel()
-            off += o * i
-            theta[off:off + o] = 0.0
-            off += o
-        self.theta = theta
-        return theta
-
-    def forward(self, x, theta=None, want_cache=False):
-        theta = self.theta if theta is None else theta
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        layers = self._unpack(theta)
-        hs = [x]
-        h = x
-        for l, (W, b) in enumerate(layers):
-            a = h @ W.T + b
-            if l < len(layers) - 1:
-                h = np.maximum(a, _LEAK * a)
-            else:
-                h = 1.0 / (1.0 + np.exp(-a))
-            hs.append(h)
-        return (h, (hs, layers)) if want_cache else h
-
-    def backward(self, cache, dout):
-        hs, layers = cache
-        dtheta = np.empty(self.n_params)
-        off = self.n_params
-        dh = dout
-        for l in reversed(range(len(layers))):
-            W, _ = layers[l]
-            h_in, h_out = hs[l], hs[l + 1]
-            if l == len(layers) - 1:
-                da = dh * h_out * (1.0 - h_out)
-            else:
-                da = dh * ((h_out > 0) * (1.0 - _LEAK) + _LEAK)
-            o, i = W.shape
-            off -= o
-            dtheta[off:off + o] = da.sum(axis=0)
-            off -= o * i
-            dtheta[off:off + o * i] = (da.T @ h_in).ravel()
-            dh = da @ W
-        return dh, dtheta
+        self.theta = self.pack(
+            [(rng.standard_normal((o, i)) * np.sqrt(2.0 / i), np.zeros(o))
+             for i, o in zip(self.widths[:-1], self.widths[1:])])
+        return self.theta
 
     def with_theta(self, theta):
         return EncoderMlp(self.widths, theta)
@@ -858,8 +828,8 @@ def info_nce_loss(za, zb, tau):
 
 
 def _info_nce_grad(enc, theta, xa, xb, tau):
-    za, ca = enc.forward(xa, theta, want_cache=True)
-    zb, cb = enc.forward(xb, theta, want_cache=True)
+    za, _, ca = enc.forward(xa, theta, want_cache=True)
+    zb, _, cb = enc.forward(xb, theta, want_cache=True)
     loss, S, lse = info_nce_loss(za, zb, tau)
     K = za.shape[0]
     dS = np.exp(S - lse[:, None])
@@ -894,8 +864,8 @@ def train_align_maxent(encoder: EncoderMlp, pairs, cfg: TrainConfig) -> TrainRes
             sel = va_idx[a:a + K]
             if sel.size < 2:
                 break
-            loss, _, _ = info_nce_loss(encoder.forward(xa[sel], th),
-                                       encoder.forward(xb[sel], th), tau)
+            loss, _, _ = info_nce_loss(encoder.forward(xa[sel], th)[0],
+                                       encoder.forward(xb[sel], th)[0], tau)
             total += loss * sel.size
             count += sel.size
         return total / max(count, 1)
@@ -906,7 +876,7 @@ def train_align_maxent(encoder: EncoderMlp, pairs, cfg: TrainConfig) -> TrainRes
 
     def watch_collapse(th):
         nonlocal low_var_run, collapsed
-        if np.all(encoder.forward(monitor, th).var(axis=0) < 1e-6):
+        if np.all(encoder.forward(monitor, th)[0].var(axis=0) < 1e-6):
             low_var_run += 1
             if low_var_run >= 5 and not collapsed:
                 collapsed = True

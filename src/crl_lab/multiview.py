@@ -155,7 +155,7 @@ def encode_content(proc: MultiViewProcess, cfg: ContentExperimentConfig):
     encoder.init_params(child_seed(cfg.seed, "encoder"))
     result = train_align_maxent(encoder, (pairs.x, pairs.x_tilde), cfg.train)
 
-    c_hat = result.model.forward(eval_pairs.x)
+    c_hat, _, _ = result.model.forward(eval_pairs.x, result.model.theta)
     targets = {"content": eval_pairs.z[:, :proc.n_c],
                "style": eval_pairs.z[:, proc.n_c:]}
     return c_hat, targets, cfg

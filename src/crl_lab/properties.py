@@ -81,7 +81,7 @@ def _check_darmois_uniformity(seed):
     rng = spawn(seed, "darmois")
     L = np.linalg.cholesky(np.array([[1.0, 0.6], [0.6, 1.5]]))
     x = rng.standard_normal((50_000, 2)) @ L.T
-    d = spurious.darmois_build(x, mode="empirical", max_reference=50_000)
+    d = spurious.EmpiricalDarmois(x, max_reference=50_000)
     push = d.forward(rng.standard_normal((2000, 2)) @ L.T)
     thresh = 1.36 / np.sqrt(2000)
     stats = [kstest(push[:, i], "uniform").statistic for i in range(2)]

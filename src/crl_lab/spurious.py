@@ -2,10 +2,15 @@
 
 Both are ``MixingMap`` objects that round-trip through ``mixing_from_dict``:
 
-* The Darmois construction: the recursive conditional-CDF transform, either
-  in closed form for jointly Gaussian observations or as a deterministic
+* The Darmois construction g: R^n -> (0,1)^n, the recursive conditional-CDF
+  transform: stage i maps x_i to its conditional CDF given x_{1:i-1}, so the
+  output is jointly uniform on the unit hypercube and the Jacobian is lower
+  triangular with determinant equal to the joint density.
+  ``AnalyticGaussianDarmois(mean, cov)`` is its closed form for jointly
+  Gaussian observations; ``EmpiricalDarmois(samples)`` is a deterministic
   kernel estimator built from samples (no training involved).  The map is
-  the uniformizer g; ``Inverted(g)`` is the spurious mixing.
+  the uniformizer g; ``Inverted(g)`` is the spurious mixing that sends
+  uniform sources to the observations.
 * Rotated-Gaussian measure-preserving automorphisms that remix sources
   without changing their distribution (``mpa.forward``).
 """
@@ -150,23 +155,12 @@ def _to_open_cube(u):
     return np.clip(u, _OPEN_LO, _OPEN_HI)
 
 
-class DarmoisMap(MixingMap):
-    """The recursive conditional-CDF transform g: R^n -> (0,1)^n.
-
-    Stage i maps x_i to the conditional CDF given x_{1:i-1}, so the output is
-    jointly uniform on the unit hypercube and the Jacobian is lower
-    triangular with determinant equal to the joint density.  The map itself
-    is the uniformizer; ``Inverted(d)`` is the spurious mixing that sends
-    uniform sources to the observations.
-    """
-
-
 def _check_open_cube(u):
     if np.any((u <= 0) | (u >= 1)):
         raise DomainError("Darmois inverse needs coordinates in (0,1)")
 
 
-class AnalyticGaussianDarmois(DarmoisMap):
+class AnalyticGaussianDarmois(MixingMap):
     def __init__(self, mean, cov):
         mean = np.asarray(mean, dtype=float)
         cov = np.asarray(cov, dtype=float)
@@ -229,7 +223,7 @@ class AnalyticGaussianDarmois(DarmoisMap):
                 "cov": self.cov.tolist()}
 
 
-class EmpiricalDarmois(DarmoisMap):
+class EmpiricalDarmois(MixingMap):
     """Kernel conditional-CDF stages built from a sample matrix.
 
     Stage 1 is a kernel-smoothed empirical CDF; stage i >= 2 weights the
@@ -360,21 +354,6 @@ class EmpiricalDarmois(DarmoisMap):
 
     def to_dict(self):
         return {"variant": "darmois-empirical", "reference": self.ref.tolist()}
-
-
-def darmois_build(data, mode: str = "empirical", max_reference: int = 2000) -> DarmoisMap:
-    """Build the Darmois transform from samples or Gaussian moments.
-
-    ``data`` is either a sample matrix (``mode="empirical"``) or a
-    ``(mean, covariance)`` pair (``mode="analytic-gaussian"``).
-    """
-    if mode == "analytic-gaussian":
-        mean, cov = data
-        return AnalyticGaussianDarmois(mean, cov)
-    if mode == "empirical":
-        return EmpiricalDarmois(np.asarray(data, dtype=float),
-                                max_reference=max_reference)
-    raise ValueError(f"unknown Darmois mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_c02_darmois_positivity():
     rng = spawn(123, "darmois-accept")
     u = rng.uniform(0, 1, size=(100_000, 2))
     x = u @ mixing.rotation_2d(np.pi / 4).T
-    d = spurious.darmois_build(x, mode="empirical")
+    d = spurious.EmpiricalDarmois(x)
     J_fwd = np.linalg.inv(d.jacobian(x[:20_000]))
     vals = contrast.local_ima_from_jacobian(J_fwd)
     est = float(vals.mean())

@@ -40,3 +40,14 @@ def test_modules_share_the_bindings_the_tracer_replaces():
     assert multiview.krr_r2 is metrics.krr_r2
     assert multiview.train_align_maxent is flow.train_align_maxent
     assert multienv.Adam is flow.Adam
+
+
+def test_encoder_mlp_spans_time_the_infonce_encoder_alone():
+    # the tracer patches forward and backward on EncoderMlp itself: with one
+    # implementation in the shared Mlp, the coupling conditioners (plain Mlp
+    # instances) stay outside flow.encoder_mlp.*
+    assert "forward" not in vars(flow.EncoderMlp)
+    assert "backward" not in vars(flow.EncoderMlp)
+    layer = flow.CouplingLayer(2, [True, False])
+    assert isinstance(layer.mlp, flow.Mlp)
+    assert not isinstance(layer.mlp, flow.EncoderMlp)

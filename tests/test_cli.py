@@ -277,6 +277,29 @@ class TestCommands:
                         "--out", str(out)]) == 0
         assert len((out / "mss.csv").read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize("command, config", [
+        ("influence", {"edge": [1, 1]}),
+        ("ima-eval", {"source": {"kind": "box"}}),
+        ("ima-eval", {"mixing": {"variant": "moebius"}}),
+        ("ima-eval", {"source": {"kind": "box", "lows": [0, 0, 0],
+                                 "highs": [1, 1, 1]}}),
+        ("ima-eval", {"source": {"kind": "box", "lows": [1, 0],
+                                 "highs": [0, 1]}}),
+        ("ima-train", {"rows": 2}),
+        ("multiview", {"n_pairs": 2}),
+        ("crl-sweep", {"rows_per_env": 1}),
+    ], ids=["edge-not-in-graph", "box-without-bounds", "moebius-without-keys",
+            "box-of-wrong-dimension", "box-low-above-high", "rows-no-step",
+            "n-pairs-no-step", "rows-per-env-no-step"])
+    def test_config_that_cannot_run_honestly_exits_1(self, tmp_path, capsys,
+                                                     command, config):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert cli.run([command, "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() or not any(out.glob("*.csv"))
+
     def test_influence_command(self, tmp_path):
         cfg = tmp_path / "inf.json"
         cfg.write_text(json.dumps({"n_mc": 20_000}))

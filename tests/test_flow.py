@@ -98,8 +98,8 @@ class TestGradients:
             e[i] = 1e-5
 
             def loss_at(th):
-                l, _, _ = flow.info_nce_loss(enc.forward(xa, th),
-                                             enc.forward(xb, th), 0.3)
+                l, _, _ = flow.info_nce_loss(enc.forward(xa, th)[0],
+                                             enc.forward(xb, th)[0], 0.3)
                 return l
 
             fd[i] = (loss_at(enc.theta + e) - loss_at(enc.theta - e)) / 2e-5
@@ -312,7 +312,7 @@ class TestAlignment:
         proc = multiview.default_process(n_c=2, n_s=2, seed=3)
         pairs = multiview.sample_pairs(proc, 3000, seed=4)
         c = pairs.z[:, :2]
-        d = spurious.darmois_build(c[:2000], mode="empirical")
+        d = spurious.EmpiricalDarmois(c[:2000])
         f_inv = mixing.Inverted(proc.mixing)
         g_a = d.forward(f_inv.forward(pairs.x)[:, :2])
         g_b = d.forward(f_inv.forward(pairs.x_tilde)[:, :2])
@@ -346,18 +346,210 @@ class TestAlignment:
         assert res.collapsed
 
 
+class _RefCondMlp:
+    """Reference: the coupling conditioner as a class of its own (tanh hidden
+    layers, linear head), before ``flow.Mlp`` took its place."""
+
+    def __init__(self, widths):
+        self.widths = tuple(int(w) for w in widths)
+        self.n_params = sum(o * i + o for i, o in
+                            zip(self.widths[:-1], self.widths[1:]))
+
+    def unpack(self, theta):
+        out, off = [], 0
+        for i, o in zip(self.widths[:-1], self.widths[1:]):
+            W = theta[off:off + o * i].reshape(o, i)
+            off += o * i
+            b = theta[off:off + o]
+            off += o
+            out.append((W, b))
+        return out
+
+    def init_params(self, rng):
+        theta = np.empty(self.n_params)
+        off = 0
+        n_layers = len(self.widths) - 1
+        for l, (i, o) in enumerate(zip(self.widths[:-1], self.widths[1:])):
+            if l == n_layers - 1:
+                W = np.zeros((o, i))
+            else:
+                W = rng.standard_normal((o, i)) / np.sqrt(i)
+            theta[off:off + o * i] = W.ravel()
+            off += o * i
+            theta[off:off + o] = 0.0
+            off += o
+        return theta
+
+    def forward(self, x, theta, want_jac=False, want_cache=False):
+        layers = self.unpack(theta)
+        hs, JAs, Jhs = [x], [], [None]
+        h, Jh = x, None
+        for l, (W, b) in enumerate(layers):
+            a = h @ W.T + b
+            last = l == len(layers) - 1
+            h = a if last else np.tanh(a)
+            hs.append(h)
+            if want_jac:
+                JA = W[None] if Jh is None else W @ Jh
+                Jh = JA if last else (1.0 - h * h)[..., None] * JA
+                JAs.append(JA)
+                Jhs.append(Jh)
+        cache = (hs, JAs, Jhs, layers) if want_cache else None
+        return h, Jh, cache
+
+    def backward(self, cache, dout, dJ=None):
+        hs, JAs, Jhs, layers = cache
+        dtheta = np.empty(self.n_params)
+        off = self.n_params
+        dh = dout
+        for l in reversed(range(len(layers))):
+            W, _ = layers[l]
+            h = hs[l + 1]
+            if l == len(layers) - 1:
+                da, dJA = dh, dJ
+            elif dJ is None:
+                da = dh * (1.0 - h * h)
+            else:
+                q = 1.0 - h * h
+                dq = (dJ * JAs[l]).sum(axis=-1)
+                da = q * (dh - 2.0 * h * dq)
+                dJA = q[..., None] * dJ
+            o, i = W.shape
+            dW = da.T @ hs[l]
+            if dJ is not None:
+                dW = dW + (dJA.sum(axis=0) if l == 0 else
+                           np.einsum("moi,mhi->oh", dJA, Jhs[l]))
+                if l:
+                    dJ = W.T @ dJA
+            off -= o
+            dtheta[off:off + o] = da.sum(axis=0)
+            off -= o * i
+            dtheta[off:off + o * i] = dW.ravel()
+            dh = da @ W
+        return dh, dtheta
+
+
+class _RefEncoderMlp(_RefCondMlp):
+    """Reference: the InfoNCE encoder's own init, forward and backward
+    (leaky-ReLU hidden layers, sigmoid head), before ``flow.Mlp`` took their
+    place."""
+
+    def init_params(self, seed):
+        rng = spawn(seed, "encoder-init")
+        theta = np.empty(self.n_params)
+        off = 0
+        for i, o in zip(self.widths[:-1], self.widths[1:]):
+            theta[off:off + o * i] = (rng.standard_normal((o, i))
+                                      * np.sqrt(2.0 / i)).ravel()
+            off += o * i
+            theta[off:off + o] = 0.0
+            off += o
+        return theta
+
+    def forward(self, x, theta, want_cache=False):
+        layers = self.unpack(theta)
+        hs = [x]
+        h = x
+        for l, (W, b) in enumerate(layers):
+            a = h @ W.T + b
+            if l < len(layers) - 1:
+                h = np.maximum(a, flow._LEAK * a)
+            else:
+                h = 1.0 / (1.0 + np.exp(-a))
+            hs.append(h)
+        return (h, (hs, layers)) if want_cache else h
+
+    def backward(self, cache, dout):
+        hs, layers = cache
+        dtheta = np.empty(self.n_params)
+        off = self.n_params
+        dh = dout
+        for l in reversed(range(len(layers))):
+            W, _ = layers[l]
+            h_in, h_out = hs[l], hs[l + 1]
+            if l == len(layers) - 1:
+                da = dh * h_out * (1.0 - h_out)
+            else:
+                da = dh * ((h_out > 0) * (1.0 - flow._LEAK) + flow._LEAK)
+            o, i = W.shape
+            off -= o
+            dtheta[off:off + o] = da.sum(axis=0)
+            off -= o * i
+            dtheta[off:off + o * i] = (da.T @ h_in).ravel()
+            dh = da @ W
+        return dh, dtheta
+
+
+_MLP_WIDTHS = [(2, 16, 2), (1, 2), (3, 6, 5, 4)]
+
+
+def _assert_all_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        assert g is None or np.array_equal(g, w)
+
+
+class TestMlpEqualsTheNetworksItReplaced:
+    @pytest.mark.parametrize("widths", _MLP_WIDTHS)
+    def test_conditioner_bitwise(self, widths):
+        n = widths[0] + widths[-1] // 2
+        layer = flow.CouplingLayer(n, np.arange(n) < widths[0], widths[1:-1])
+        assert layer.mlp.widths == widths
+        ref = _RefCondMlp(widths)
+        theta = layer.init_params(spawn(40, "init"))
+        assert np.array_equal(theta, ref.init_params(spawn(40, "init")))
+        assert np.array_equal(layer.mlp.pack(layer.mlp.unpack(theta)), theta)
+        # off the zero head, so that every layer's gradient is nonzero
+        theta = theta + 0.3 * spawn(41, "jitter").standard_normal(theta.size)
+        rng = spawn(42, "x")
+        x = rng.standard_normal((17, widths[0]))
+        dout = rng.standard_normal((17, widths[-1]))
+        dJ = rng.standard_normal((17, widths[-1], widths[0]))
+        for want_jac, dJ_in in ((False, None), (True, None), (True, dJ)):
+            out, J, cache = layer.mlp.forward(x, theta, want_jac, True)
+            out_ref, J_ref, cache_ref = ref.forward(x, theta, want_jac, True)
+            _assert_all_equal((out, J), (out_ref, J_ref))
+            _assert_all_equal(layer.mlp.backward(cache, dout, dJ_in),
+                              ref.backward(cache_ref, dout, dJ_in))
+
+    @pytest.mark.parametrize("widths", _MLP_WIDTHS)
+    def test_encoder_bitwise(self, widths):
+        enc = flow.EncoderMlp(widths)
+        ref = _RefEncoderMlp(widths)
+        assert np.array_equal(enc.init_params(43), ref.init_params(43))
+        theta = enc.theta + 0.3 * spawn(44, "jitter").standard_normal(enc.n_params)
+        rng = spawn(45, "x")
+        x = rng.standard_normal((17, widths[0]))
+        x[0] = 0.0
+        dout = rng.standard_normal((17, widths[-1]))
+        out, J, cache = enc.forward(x, theta, want_cache=True)
+        out_ref, cache_ref = ref.forward(x, theta, want_cache=True)
+        assert J is None
+        assert np.array_equal(out, out_ref)
+        _assert_all_equal(enc.backward(cache, dout),
+                          ref.backward(cache_ref, dout))
+
+    @pytest.mark.parametrize("hidden, out", [("leaky", "sigmoid"),
+                                             ("tanh", "sigmoid"),
+                                             ("leaky", "linear")])
+    def test_jacobian_needs_tanh_hidden_and_linear_head(self, hidden, out):
+        net = flow.Mlp((2, 4, 3), hidden, out)
+        with pytest.raises(ValueError, match="tanh hidden layers"):
+            net.forward(np.zeros((5, 2)), np.zeros(net.n_params), want_jac=True)
+
+
 class _WhereEncoder(flow.EncoderMlp):
     """Reference: the leaky ReLU and its derivative through np.where."""
 
-    def forward(self, x, theta=None, want_cache=False):
-        theta = self.theta if theta is None else theta
-        layers = self._unpack(theta)
-        hs = [np.atleast_2d(np.asarray(x, dtype=float))]
+    def forward(self, x, theta, want_jac=False, want_cache=False):
+        layers = self.unpack(theta)
+        hs = [x]
         for l, (W, b) in enumerate(layers):
             a = hs[-1] @ W.T + b
             hs.append(np.where(a > 0, a, flow._LEAK * a) if l < len(layers) - 1
                       else 1.0 / (1.0 + np.exp(-a)))
-        return (hs[-1], (hs, layers)) if want_cache else hs[-1]
+        return hs[-1], None, (hs, layers) if want_cache else None
 
     def backward(self, cache, dout):
         hs, layers = cache
@@ -383,8 +575,8 @@ class TestEncoderActivation:
         xa = rng.standard_normal((64, 6))
         xa[0] = 0.0
         xb = xa + 0.2 * rng.standard_normal((64, 6))
-        z, cache = enc.forward(xa, want_cache=True)
-        z_ref, cache_ref = ref.forward(xa, want_cache=True)
+        z, _, cache = enc.forward(xa, enc.theta, want_cache=True)
+        z_ref, _, cache_ref = ref.forward(xa, ref.theta, want_cache=True)
         assert np.array_equal(z, z_ref)
         dout = rng.standard_normal(z.shape)
         for got, want in zip(enc.backward(cache, dout),
@@ -398,8 +590,8 @@ class TestEncoderActivation:
 
 def _eye_info_nce_grad(enc, theta, xa, xb, tau):
     """Reference: the InfoNCE gradient with the diagonal taken off via np.eye."""
-    za, ca = enc.forward(xa, theta, want_cache=True)
-    zb, cb = enc.forward(xb, theta, want_cache=True)
+    za, _, ca = enc.forward(xa, theta, want_cache=True)
+    zb, _, cb = enc.forward(xb, theta, want_cache=True)
     loss, S, lse = flow.info_nce_loss(za, zb, tau)
     K = za.shape[0]
     dS = (np.exp(S - lse[:, None]) - np.eye(K)) / K
@@ -444,7 +636,8 @@ class TestSerialization:
         enc.init_params(21)
         clone = flow.EncoderMlp.from_dict(enc.to_dict())
         x = spawn(15, "x").standard_normal((10, 3))
-        np.testing.assert_array_equal(enc.forward(x), clone.forward(x))
+        np.testing.assert_array_equal(enc.forward(x, enc.theta)[0],
+                                      clone.forward(x, clone.theta)[0])
         # dicts that still store the slope load only at the fixed one
         flow.EncoderMlp.from_dict({**enc.to_dict(), "slope": 0.1})
         with pytest.raises(ConfigError, match="slope"):

@@ -12,8 +12,7 @@ class TestAnalyticGaussianDarmois:
     def setup_method(self):
         self.rho = 0.5
         self.cov = np.array([[1.0, self.rho], [self.rho, 1.0]])
-        self.d = spurious.darmois_build((np.zeros(2), self.cov),
-                                        mode="analytic-gaussian")
+        self.d = spurious.AnalyticGaussianDarmois(np.zeros(2), self.cov)
 
     def test_stage_two_closed_form(self):
         rng = spawn(0, "grid")
@@ -55,14 +54,13 @@ class TestAnalyticGaussianDarmois:
 
     def test_singular_covariance_rejected(self):
         with pytest.raises(SingularityError):
-            spurious.darmois_build((np.zeros(2), np.ones((2, 2))),
-                                   mode="analytic-gaussian")
+            spurious.AnalyticGaussianDarmois(np.zeros(2), np.ones((2, 2)))
 
 
 class TestEmpiricalDarmois:
     def test_identity_stages_for_independent_uniforms(self):
         u = spawn(5, "u").uniform(0, 1, size=(50_000, 2))
-        d = spurious.darmois_build(u, mode="empirical", max_reference=50_000)
+        d = spurious.EmpiricalDarmois(u, max_reference=50_000)
         grid = np.stack([np.linspace(0.02, 0.98, 60)] * 2, axis=1)
         assert np.max(np.abs(d.forward(grid) - grid)) < 0.02
 
@@ -70,7 +68,7 @@ class TestEmpiricalDarmois:
         rng = spawn(78, "g")
         L = np.linalg.cholesky(np.array([[1.0, 0.6], [0.6, 1.5]]))
         x = rng.standard_normal((50_000, 2)) @ L.T
-        d = spurious.darmois_build(x, mode="empirical", max_reference=50_000)
+        d = spurious.EmpiricalDarmois(x, max_reference=50_000)
         fresh = rng.standard_normal((2000, 2)) @ L.T
         push = d.forward(fresh)
         n = push.shape[0]
@@ -80,14 +78,14 @@ class TestEmpiricalDarmois:
 
     def test_jacobian_triangular(self):
         x = spawn(6, "x").standard_normal((2000, 2))
-        d = spurious.darmois_build(x, mode="empirical")
+        d = spurious.EmpiricalDarmois(x)
         J = d.jacobian(x[:100])
         assert np.max(np.abs(J[:, 0, 1])) < 1e-6
 
     def test_jacobian_matches_finite_differences(self):
         rng = spawn(7, "x")
         x = rng.standard_normal((3000, 2))
-        d = spurious.darmois_build(x, mode="empirical")
+        d = spurious.EmpiricalDarmois(x)
         probes = x[:10]
         J = d.jacobian(probes)
         h = 1e-5
@@ -99,13 +97,13 @@ class TestEmpiricalDarmois:
 
     def test_invert_round_trip(self):
         x = spawn(8, "x").standard_normal((3000, 2))
-        d = spurious.darmois_build(x, mode="empirical")
+        d = spurious.EmpiricalDarmois(x)
         u = d.forward(x[:50])
         np.testing.assert_allclose(d.forward(d.inverse(u)), u, atol=1e-8)
 
     def test_own_derivative_is_the_gradient_entry(self):
         x = spawn(9, "x").standard_normal((1500, 3))
-        d = spurious.darmois_build(x, mode="empirical")
+        d = spurious.EmpiricalDarmois(x)
         for i in range(3):
             val, own = d._stage(i, x[:40], deriv="own")
             val_full, grad = d._stage(i, x[:40], deriv="full")
@@ -114,7 +112,7 @@ class TestEmpiricalDarmois:
 
     def test_inverse_equals_newton_on_the_full_gradient(self):
         x = spawn(10, "x").standard_normal((1500, 3))
-        d = spurious.darmois_build(x, mode="empirical")
+        d = spurious.EmpiricalDarmois(x)
         u = d.forward(spawn(11, "x").standard_normal((40, 3)))
         expected = np.zeros_like(u)
         for i in range(3):
@@ -134,7 +132,7 @@ class TestEmpiricalDarmois:
         # the inverse computes each stage's weights once; here every Newton
         # step recomputes them from x[:, :i]
         x = spawn(12, "x").standard_normal((1500, 3))
-        d = spurious.darmois_build(x, mode="empirical")
+        d = spurious.EmpiricalDarmois(x)
         u = d.forward(spawn(13, "x").standard_normal((300, 3)))
         expected = np.zeros_like(u)
         for i in range(3):
@@ -151,7 +149,7 @@ class TestEmpiricalDarmois:
 
     def test_conditioning_bandwidth_equals_the_broadcast_median(self):
         x = spawn(14, "x").standard_normal((1700, 3))
-        d = spurious.darmois_build(x, mode="empirical")
+        d = spurious.EmpiricalDarmois(x)
         m = d.ref.shape[0]
         for i in (1, 2):
             sub = d.ref[:: max(1, m // 500), :i]
@@ -161,14 +159,14 @@ class TestEmpiricalDarmois:
 
     def test_sample_size_guard(self):
         with pytest.raises(SampleSizeError):
-            spurious.darmois_build(np.zeros((500, 2)), mode="empirical")
+            spurious.EmpiricalDarmois(np.zeros((500, 2)))
         with pytest.raises(SampleSizeError):
-            spurious.darmois_build(spawn(0, "x").standard_normal((2000, 2)),
-                                   mode="empirical", max_reference=500)
+            spurious.EmpiricalDarmois(spawn(0, "x").standard_normal((2000, 2)),
+                                      max_reference=500)
 
     def test_dimension_guard(self):
         with pytest.raises(CapacityError):
-            spurious.darmois_build(np.zeros((2000, 4)), mode="empirical")
+            spurious.EmpiricalDarmois(np.zeros((2000, 4)))
 
 
 class TestDarmoisContrast:
@@ -178,7 +176,7 @@ class TestDarmoisContrast:
         rng = spawn(123, "demo")
         u = rng.uniform(0, 1, size=(40_000, 2))
         x = u @ mixing.rotation_2d(np.pi / 4).T
-        d = spurious.darmois_build(x, mode="empirical")
+        d = spurious.EmpiricalDarmois(x)
         vals = contrast.local_ima_from_jacobian(np.linalg.inv(d.jacobian(x[:8000])))
         est = vals.mean()
         se = vals.std(ddof=1) / np.sqrt(vals.size)
