@@ -27,7 +27,7 @@ from . import flow as flow_mod
 from . import metrics, mixing, multienv, multiview, mss as mss_mod, spurious
 from . import scm as scm_mod
 from .contrast import box_sampler, global_ima
-from .errors import ConfigError, CrlLabError, DatasetFormatError
+from .errors import ConfigError, CrlLabError, DatasetFormatError, DomainError
 from .metrics import config_hash
 from .properties import run_property_suite
 from .rng import child_seed
@@ -38,72 +38,6 @@ _FLOAT_FMT = "{:.16e}"  # 17 significant digits: exact float64 round trip
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
-
-_DEFAULTS = {
-    "gen-data": {
-        "process": "crl",            # crl | mss
-        "n": 2,
-        "rows_per_env": 3000,
-        "n_envs": 6,                  # mss only
-        "mixing_kind": "mlp",         # crl only
-    },
-    "ima-eval": {
-        "mixing": "polar",
-        "source": {"kind": "box", "lows": [1e-9, 0.0],
-                   "highs": [3.0, 6.283185307179586]},
-        "n_mc": 100_000,
-    },
-    "ima-sweep": {
-        "thetas": [0.0, 0.19634954, 0.39269908, 0.58904862, 0.78539816,
-                   0.9817477, 1.17809725, 1.37444679, 1.57079633],
-        "n_mc": 50_000,
-        "moebius_seed": 7,
-    },
-    "ima-train": {
-        "n_seeds": 5,
-        "lambdas": [0.0, 1.0],
-        "rows": 4000,
-        "epochs": 60,
-        "lr": 3e-3,
-        "batch_size": 256,
-    },
-    "multiview": {
-        "n_c": 3,
-        "n_s": 3,
-        "statistical": False,
-        "causal": False,
-        "change_prob": 1.0,
-        "n_pairs": 20_000,
-        "seeds": [0, 1, 2],
-        "epochs": 60,
-    },
-    "crl-sweep": {
-        "n_seeds": 10,
-        "rows_per_env": 3000,
-        "epochs": 250,
-        "lr": 5e-3,
-        "batch_size": 512,
-        "n_couplings": 6,
-        "hidden": [16],
-    },
-    "mss": {
-        "dataset": None,              # path to an external CSV, or null
-        "n": 3,
-        "n_envs": 6,
-        "rows_per_env": 2000,
-        "test": "linear-gaussian",    # linear-gaussian | oracle
-        "alpha": 0.05,
-    },
-    "influence": {
-        "edge_weight": 1.0,
-        "edge": [0, 1],
-        "n_mc": 100_000,
-    },
-    "verify-props": {},
-    "report": {
-        "input_dir": None,
-    },
-}
 
 
 def _num(lo=None, hi=None, integer=False, open_bounds=False):
@@ -148,50 +82,88 @@ def _one_of(*choices):
             f"one of {list(choices)}")
 
 
-# what each config value must be, checked by load_config: key -> (test,
-# description); a "<command>:<key>" entry replaces the plain key's entry for
-# that command
-_VALID = {
-    "process": _one_of("crl", "mss"),
-    "n": _int(1),
-    "mss:n": _int(1, mss_mod.MAX_NODES),
-    "rows_per_env": _int(1),
-    "n_envs": _int(1),
-    "mss:n_envs": _int(2),  # the score compares environment pairs
-    "mixing_kind": _one_of("mlp", "identity", "moebius"),
-    "n_mc": _int(1),
-    "thetas": _list(_num()),
-    "moebius_seed": _int(0),
-    "n_seeds": _int(1),
-    "lambdas": _list(_num(0)),
-    "epochs": _int(1),
-    "lr": _num(0, open_bounds=True),
-    "batch_size": _int(2),
-    "n_c": _int(1),
-    "n_s": _int(1),
-    "statistical": _one_of(False, True),
-    "causal": _one_of(False, True),
-    "change_prob": _num(0, 1),
-    "seeds": _list(_int(0)),
-    "n_couplings": _int(1),
-    "hidden": _list(_int(1), min_len=0),
-    "test": _one_of("linear-gaussian", "oracle"),
-    "alpha": _num(0, 1, open_bounds=True),
-    "edge_weight": _num(),
-    # the influence model's graph has the one edge 0 -> 1
-    "edge": (lambda v: v == [0, 1] and all(type(x) is int for x in v),
-             "[0, 1], the graph's one edge"),
-    # the smallest sizes whose first epoch takes an optimizer step: below
-    # them the validation split leaves no mini-batch of two training rows
-    "ima-train:rows": _int(3),
-    "multiview:n_pairs": _int(3),
-    "crl-sweep:rows_per_env": _int(2),
+_PATH = (lambda v: v is None or isinstance(v, str), "null or a path string")
+
+
+# each command's config keys: key -> (default, (test, description)); load_config
+# fills in the defaults and rejects a value that fails its key's test
+_CONFIG = {
+    "gen-data": {
+        "process": ("crl", _one_of("crl", "mss")),
+        "n": (2, _int(1)),
+        "rows_per_env": (3000, _int(1)),
+        "n_envs": (6, _int(1)),                                     # mss only
+        "mixing_kind": ("mlp", _one_of("mlp", "identity", "moebius")),  # crl only
+    },
+    "ima-eval": {
+        # the deep checks are _build_mixing's and _build_sampler's
+        "mixing": ("polar", (lambda v: v == "polar" or isinstance(v, dict),
+                             "'polar' or an object")),
+        "source": ({"kind": "box", "lows": [1e-9, 0.0],
+                    "highs": [3.0, 6.283185307179586]},
+                   (lambda v: isinstance(v, dict), "an object")),
+        "n_mc": (100_000, _int(1)),
+    },
+    "ima-sweep": {
+        "thetas": ([0.0, 0.19634954, 0.39269908, 0.58904862, 0.78539816,
+                    0.9817477, 1.17809725, 1.37444679, 1.57079633], _list(_num())),
+        "n_mc": (50_000, _int(1)),
+        "moebius_seed": (7, _int(0)),
+    },
+    "ima-train": {
+        "n_seeds": (5, _int(1)),
+        "lambdas": ([0.0, 1.0], _list(_num(0))),
+        # the smallest sizes whose first epoch takes an optimizer step: below
+        # them the validation split leaves no mini-batch of two training rows
+        "rows": (4000, _int(3)),
+        "epochs": (60, _int(1)),
+        "lr": (3e-3, _num(0, open_bounds=True)),
+        "batch_size": (256, _int(2)),
+    },
+    "multiview": {
+        "n_c": (3, _int(1)),
+        "n_s": (3, _int(1)),
+        "statistical": (False, _one_of(False, True)),
+        "causal": (False, _one_of(False, True)),
+        "change_prob": (1.0, _num(0, 1)),
+        "n_pairs": (20_000, _int(3)),                 # see ima-train's rows
+        "seeds": ([0, 1, 2], _list(_int(0))),
+        "epochs": (60, _int(1)),
+    },
+    "crl-sweep": {
+        "n_seeds": (10, _int(1)),
+        "rows_per_env": (3000, _int(2)),              # see ima-train's rows
+        "epochs": (250, _int(1)),
+        "lr": (5e-3, _num(0, open_bounds=True)),
+        "batch_size": (512, _int(2)),
+        "n_couplings": (6, _int(1)),
+        "hidden": ([16], _list(_int(1), min_len=0)),
+    },
+    "mss": {
+        "dataset": (None, _PATH),                     # an external dataset CSV
+        "n": (3, _int(1, mss_mod.MAX_NODES)),
+        "n_envs": (6, _int(2)),  # the score compares environment pairs
+        "rows_per_env": (2000, _int(1)),
+        "test": ("linear-gaussian", _one_of("linear-gaussian", "oracle")),
+        "alpha": (0.05, _num(0, 1, open_bounds=True)),
+    },
+    "influence": {
+        "edge_weight": (1.0, _num()),
+        # the influence model's graph has the one edge 0 -> 1
+        "edge": ([0, 1], (lambda v: v == [0, 1] and all(type(x) is int for x in v),
+                          "[0, 1], the graph's one edge")),
+        "n_mc": (100_000, _int(2)),  # the standard error needs two draws
+    },
+    "verify-props": {},
+    "report": {
+        "input_dir": (None, _PATH),
+    },
 }
 
 
 def load_config(command: str, path: str | None) -> dict:
-    defaults = _DEFAULTS[command]
-    cfg = dict(defaults)
+    spec = _CONFIG[command]
+    cfg = {key: default for key, (default, _) in spec.items()}
     if path is not None:
         try:
             with open(path) as fh:
@@ -204,15 +176,15 @@ def load_config(command: str, path: str | None) -> dict:
         if not isinstance(user, dict):
             raise ConfigError(f"config {path}: top level must be an object")
         user.pop("schema", None)
-        unknown = sorted(set(user) - set(defaults))
+        unknown = sorted(set(user) - set(spec))
         if unknown:
             raise ConfigError(
                 f"config {path}: unknown key(s) {unknown}; "
-                f"allowed: {sorted(defaults)}"
+                f"allowed: {sorted(spec)}"
             )
         for key, value in user.items():
-            ok, what = _VALID.get(f"{command}:{key}", _VALID.get(key, (None, "")))
-            if ok is not None and not ok(value):
+            ok, what = spec[key][1]
+            if not ok(value):
                 raise ConfigError(f"config {path}: {key} = {value!r} must be {what}")
         cfg.update(user)
     cfg["schema"] = f"crl-lab/{command}/v1"
@@ -453,15 +425,16 @@ def load_dataset(path) -> scm_mod.MultiEnvDataset:
 def _cmd_gen_data(ctx: RunContext):
     cfg = ctx.cfg
     if cfg["process"] == "crl":
+        if cfg["n"] < 2:
+            raise ConfigError(f"n = {cfg['n']!r} must be an integer >= 2 for the "
+                              f"crl process, whose graph has the edge 0 -> 1")
         problem = multienv.CrlProblemConfig(
             n=cfg["n"], d=cfg["n"], rows_per_env=cfg["rows_per_env"],
             mixing_kind=cfg["mixing_kind"])
         ds = multienv.generate_crl_problem(problem, ctx.seed)
-    elif cfg["process"] == "mss":
+    else:
         ds = mss_mod.generate_mss_problem(cfg["n"], cfg["n_envs"],
                                           cfg["rows_per_env"], ctx.seed)
-    else:
-        raise ConfigError("process must be 'crl' or 'mss'")
     save_dataset(ds, ctx.out / "dataset.csv", ctx)
 
 
@@ -494,7 +467,11 @@ def _build_sampler(spec, n):
 def _cmd_ima_eval(ctx: RunContext):
     mix = _build_mixing(ctx.cfg["mixing"])
     sampler = _build_sampler(ctx.cfg["source"], mix.n)
-    est = global_ima(mix, sampler, n_mc=ctx.cfg["n_mc"], seed=ctx.seed)
+    try:
+        est = global_ima(mix, sampler, n_mc=ctx.cfg["n_mc"], seed=ctx.seed)
+    except DomainError as exc:
+        raise ConfigError(f"source {ctx.cfg['source']!r} leaves the mixing's "
+                          f"domain: {exc}") from exc
     ctx.write_csv("ima_eval.csv",
                   ["estimate", "stderr", "n_mc", "seed"],
                   [[est.value, est.stderr, est.n_mc, est.seed]])
@@ -641,12 +618,18 @@ def _cmd_mss(ctx: RunContext):
     cfg = ctx.cfg
     test = mss_mod.CiInvarianceTest(cfg["test"], alpha=cfg["alpha"])
     if cfg["dataset"]:
-        data = load_dataset(cfg["dataset"])
+        try:
+            data = load_dataset(cfg["dataset"])
+        except OSError as exc:
+            raise ConfigError(f"dataset {cfg['dataset']!r}: {exc}") from exc
         # checked before any file is written, like a generated problem's n
         # and n_envs in load_config
         if len(data.envs) < 2:
             raise ConfigError(f"mss compares environment pairs; {cfg['dataset']} "
                               f"has {len(data.envs)} environment(s)")
+        if test.kind == "oracle" and not data.has_ground_truth:
+            raise ConfigError(f"the oracle test needs the ground truth of "
+                              f"{cfg['dataset']}, but it has no sidecar")
         n = data.d
         if n > mss_mod.MAX_NODES:
             raise ConfigError(f"mss enumerates labeled DAGs only up to "
@@ -778,7 +761,8 @@ def _build_parser():
                        help="worker processes for sweep cells "
                             "(default: CRL_LAB_THREADS or 1)")
         p.add_argument("--deterministic", action="store_true",
-                       help="force single-threaded, bitwise-reproducible mode")
+                       help="run the cells serially, as --threads 1; the BLAS "
+                            "threads are not pinned")
     return parser
 
 

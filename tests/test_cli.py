@@ -1,15 +1,21 @@
 import concurrent.futures
+import contextlib
 import csv
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from crl_lab import cli, mss, scm
+from crl_lab import cli, mixing, mss, scm
 from crl_lab.errors import DatasetFormatError
 
 
@@ -158,6 +164,7 @@ class TestConfigs:
         ("ima-train", {"batch_size": 1}, "batch_size"),
         ("multiview", {"statistical": 1}, "statistical"),
         ("mss", {"n_envs": 1}, "n_envs"),
+        ("influence", {"n_mc": 1}, "n_mc"),
     ])
     def test_invalid_value_exits_1_with_message(self, tmp_path, capsys,
                                                 command, config, key):
@@ -167,6 +174,12 @@ class TestConfigs:
         assert cli.run([command, "--config", str(p), "--out", str(out)]) == 1
         assert f"{key} = " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_table_covers_every_command_and_defaults_pass_their_checks(self):
+        assert list(cli._CONFIG) == list(cli._COMMANDS)
+        for command, spec in cli._CONFIG.items():
+            for key, (default, (ok, what)) in spec.items():
+                assert ok(default), f"{command}: {key} = {default!r} is not {what}"
 
 
 class TestCommands:
@@ -288,9 +301,16 @@ class TestCommands:
         ("ima-train", {"rows": 2}),
         ("multiview", {"n_pairs": 2}),
         ("crl-sweep", {"rows_per_env": 1}),
+        ("gen-data", {"n": 1}),
+        ("mss", {"dataset": 5}),
+        ("mss", {"dataset": "no-such-dataset.csv"}),
+        ("report", {"input_dir": 3}),
+        ("ima-eval", {"source": {"kind": "box", "lows": [-1, 0],
+                                 "highs": [1, 1]}}),
     ], ids=["edge-not-in-graph", "box-without-bounds", "moebius-without-keys",
             "box-of-wrong-dimension", "box-low-above-high", "rows-no-step",
-            "n-pairs-no-step", "rows-per-env-no-step"])
+            "n-pairs-no-step", "rows-per-env-no-step", "crl-one-node",
+            "dataset-not-a-path", "dataset-missing", "input-dir-not-a-path", "box-outside-domain"])
     def test_config_that_cannot_run_honestly_exits_1(self, tmp_path, capsys,
                                                      command, config):
         p = tmp_path / "cfg.json"
@@ -433,6 +453,142 @@ class TestCommands:
         assert len(rows) > 1
         assert all(len(r) == 6 for r in rows)
         assert any("," in r[1] for r in rows[1:])
+
+
+def _config_strategies(files):
+    """Tiny configs of each command, keyed like ``cli._CONFIG``.
+
+    ``files`` holds a dataset with its sidecar, the same dataset without one,
+    and a directory of ima-sweep output.  Some draws are of the wrong type
+    or outside a check's range, so that the rejections are drawn too.
+    """
+    lr = st.floats(1e-6, 1e3)
+    box = st.builds(
+        lambda edges: {"kind": "box", "lows": [min(e) for e in edges],
+                       "highs": [max(e) for e in edges]},
+        st.lists(st.tuples(st.floats(-2.0, 7.0), st.floats(-2.0, 7.0)),
+                 min_size=2, max_size=3))
+    return {
+        "gen-data": {
+            "process": st.sampled_from(["crl", "mss"]),
+            "n": st.integers(1, 4),
+            "rows_per_env": st.integers(1, 30),
+            "n_envs": st.integers(1, 3),
+            "mixing_kind": st.sampled_from(["mlp", "identity", "moebius"]),
+        },
+        "ima-eval": {
+            "mixing": st.one_of(
+                st.sampled_from(["polar", "moebius", 3, {}, {"variant": "moebius"}]),
+                st.builds(lambda n, seed: mixing.random_moebius(n, seed).to_dict(),
+                          st.integers(2, 3), st.integers(0, 5))),
+            "source": st.one_of(box, st.sampled_from([{"kind": "gaussian"}, [0, 1]])),
+            "n_mc": st.integers(1, 50),
+        },
+        "ima-sweep": {
+            "thetas": st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+            "n_mc": st.integers(1, 50),
+            "moebius_seed": st.integers(0, 10**6),
+        },
+        "ima-train": {
+            "n_seeds": st.integers(1, 2),
+            "lambdas": st.lists(st.floats(0.0, 10.0), min_size=1, max_size=2),
+            "rows": st.integers(3, 40),
+            "epochs": st.integers(1, 2),
+            "lr": lr,
+            "batch_size": st.integers(2, 64),
+        },
+        "multiview": {
+            "n_c": st.integers(1, 2),
+            "n_s": st.integers(1, 2),
+            "statistical": st.booleans(),
+            "causal": st.booleans(),
+            "change_prob": st.floats(0.0, 1.0),
+            "n_pairs": st.integers(3, 20),
+            "seeds": st.lists(st.integers(0, 3), min_size=1, max_size=2),
+            "epochs": st.integers(1, 2),
+        },
+        "crl-sweep": {
+            "n_seeds": st.just(1),
+            "rows_per_env": st.integers(2, 20),
+            "epochs": st.integers(1, 2),
+            "lr": lr,
+            "batch_size": st.integers(2, 64),
+            "n_couplings": st.integers(1, 2),
+            "hidden": st.lists(st.integers(1, 4), max_size=2),
+        },
+        "mss": {
+            "dataset": st.sampled_from([None, 5, str(files / "missing.csv"),
+                                        str(files / "data" / "dataset.csv"),
+                                        str(files / "bare" / "dataset.csv")]),
+            "n": st.integers(1, 4),
+            "n_envs": st.integers(2, 3),
+            "rows_per_env": st.integers(1, 60),
+            "test": st.sampled_from(["linear-gaussian", "oracle"]),
+            "alpha": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        },
+        "influence": {
+            "edge_weight": st.floats(-10.0, 10.0),
+            "edge": st.sampled_from([[0, 1], [1, 0], [1, 1]]),
+            "n_mc": st.integers(1, 50),
+        },
+        "verify-props": {},
+        "report": {
+            "input_dir": st.sampled_from([None, 3, str(files / "missing"),
+                                          str(files / "data"),
+                                          str(files / "sweeps")]),
+        },
+    }
+
+
+_NOT_DRAWN = {"multiview", "verify-props"}  # why: see the property test
+
+
+@pytest.fixture(scope="module")
+def config_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("config-files")
+    (files / "gen.json").write_text(json.dumps(
+        {"process": "mss", "n": 2, "n_envs": 3, "rows_per_env": 40}))
+    assert cli.run(["gen-data", "--config", str(files / "gen.json"),
+                    "--out", str(files / "data")]) == 0
+    (files / "bare").mkdir()
+    shutil.copy(files / "data" / "dataset.csv", files / "bare")
+    (files / "sweep.json").write_text(json.dumps({"thetas": [0.0, 0.5],
+                                                  "n_mc": 20}))
+    assert cli.run(["ima-sweep", "--config", str(files / "sweep.json"),
+                    "--out", str(files / "sweeps")]) == 0
+    return files
+
+
+def test_every_config_key_has_a_strategy():
+    strategies = _config_strategies(Path("unused"))
+    assert set(strategies) == set(cli._CONFIG)
+    for command, keys in strategies.items():
+        assert set(keys) == set(cli._CONFIG[command]), command
+
+
+@pytest.mark.parametrize("command", sorted(set(cli._CONFIG) - _NOT_DRAWN))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_accepted_or_rejected_config_never_exits_2(config_files, command, data):
+    """Every drawn config runs (exit 0) or is a user error (exit 1 with an
+    ``error:`` line); none is a runtime failure (exit 2).
+
+    ``multiview`` and ``verify-props`` are not drawn: multiview scores its
+    encoder by kernel ridge on a fixed 5,000 rows, seconds per draw, and
+    verify-props exits 2 by chance on some seeds (its checks run at level
+    0.01 with no multiple-testing correction).
+    """
+    config = data.draw(st.fixed_dictionaries(
+        _config_strategies(config_files)[command]))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "cfg.json").write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.run([command, "--config", str(Path(tmp) / "cfg.json"),
+                            "--out", str(Path(tmp) / "out"), "--threads", "1"])
+    assert code in (0, 1), err.getvalue()
+    assert code == 0 or err.getvalue().startswith("error: "), err.getvalue()
 
 
 def _scipy_subpackages_loaded_by(code):
