@@ -40,23 +40,23 @@ _FLOAT_FMT = "{:.16e}"  # 17 significant digits: exact float64 round trip
 # ---------------------------------------------------------------------------
 
 
-def _num(lo=None, hi=None, integer=False, open_bounds=False):
-    """A number (an integer with ``integer``) within [lo, hi], or within
-    (lo, hi) with ``open_bounds``; a None bound is unbounded."""
+def _num(lo=None, hi=None, integer=False, bounds="[]"):
+    """A number (an integer with ``integer``) between lo and hi, each bound
+    closed or open as ``bounds`` says ("[]", "(]", "[)" or "()"); a None
+    bound is unbounded."""
     kinds = int if integer else (int, float)
 
     def ok(v):
         if isinstance(v, bool) or not isinstance(v, kinds):
             return False
-        if open_bounds:
-            return (lo is None or v > lo) and (hi is None or v < hi)
-        return (lo is None or v >= lo) and (hi is None or v <= hi)
+        return ((lo is None or (v > lo if bounds[0] == "(" else v >= lo))
+                and (hi is None or (v < hi if bounds[1] == ")" else v <= hi)))
 
     what = "an integer" if integer else "a number"
     if hi is not None:
-        what += f" in ({lo}, {hi})" if open_bounds else f" in [{lo}, {hi}]"
+        what += f" in {bounds[0]}{lo}, {hi}{bounds[1]}"
     elif lo is not None:
-        what += f" > {lo}" if open_bounds else f" >= {lo}"
+        what += f" > {lo}" if bounds[0] == "(" else f" >= {lo}"
     return ok, what
 
 
@@ -117,7 +117,7 @@ _CONFIG = {
         # them the validation split leaves no mini-batch of two training rows
         "rows": (4000, _int(3)),
         "epochs": (60, _int(1)),
-        "lr": (3e-3, _num(0, open_bounds=True)),
+        "lr": (3e-3, _num(0, bounds="()")),
         "batch_size": (256, _int(2)),
     },
     "multiview": {
@@ -125,7 +125,7 @@ _CONFIG = {
         "n_s": (3, _int(1)),
         "statistical": (False, _one_of(False, True)),
         "causal": (False, _one_of(False, True)),
-        "change_prob": (1.0, _num(0, 1)),
+        "change_prob": (1.0, _num(0, 1, bounds="(]")),
         "n_pairs": (20_000, _int(3)),                 # see ima-train's rows
         "seeds": ([0, 1, 2], _list(_int(0))),
         "epochs": (60, _int(1)),
@@ -134,7 +134,7 @@ _CONFIG = {
         "n_seeds": (10, _int(1)),
         "rows_per_env": (3000, _int(2)),              # see ima-train's rows
         "epochs": (250, _int(1)),
-        "lr": (5e-3, _num(0, open_bounds=True)),
+        "lr": (5e-3, _num(0, bounds="()")),
         "batch_size": (512, _int(2)),
         "n_couplings": (6, _int(1)),
         "hidden": ([16], _list(_int(1), min_len=0)),
@@ -145,7 +145,7 @@ _CONFIG = {
         "n_envs": (6, _int(2)),  # the score compares environment pairs
         "rows_per_env": (2000, _int(1)),
         "test": ("linear-gaussian", _one_of("linear-gaussian", "oracle")),
-        "alpha": (0.05, _num(0, 1, open_bounds=True)),
+        "alpha": (0.05, _num(0, 1, bounds="()")),
     },
     "influence": {
         "edge_weight": (1.0, _num()),
@@ -781,7 +781,31 @@ def _worker_count(flag) -> int:
     return threads
 
 
+def fix_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 8 MiB;
+    a no-op where the C library has no ``mallopt``.
+
+    At glibc's defaults (128 KiB, rising with each freed mmapped chunk up to
+    32 MiB) the InfoNCE step's 256-512 KiB arrays are mapped, faulted in and
+    unmapped on every call, and the first kernel-ridge fit's freed test
+    kernel raises the threshold so that the next fit's kernels stay on the
+    heap.  At 1 MiB the step's arrays are reused from the heap and every
+    kernel (20 MB or more) is mapped and returned when freed.  Pool workers
+    are forked, so they inherit the setting.
+    """
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def run(argv) -> int:
+    fix_malloc_thresholds()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -163,6 +163,7 @@ class TestConfigs:
         ("ima-train", {"epochs": 0}, "epochs"),
         ("ima-train", {"batch_size": 1}, "batch_size"),
         ("multiview", {"statistical": 1}, "statistical"),
+        ("multiview", {"change_prob": 0}, "change_prob"),
         ("mss", {"n_envs": 1}, "n_envs"),
         ("influence", {"n_mc": 1}, "n_mc"),
     ])
@@ -172,7 +173,8 @@ class TestConfigs:
         p.write_text(json.dumps(config))
         out = tmp_path / "o"
         assert cli.run([command, "--config", str(p), "--out", str(out)]) == 1
-        assert f"{key} = " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} = " in err
         assert not out.exists()
 
     def test_table_covers_every_command_and_defaults_pass_their_checks(self):
