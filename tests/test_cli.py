@@ -163,9 +163,9 @@ class TestConfigs:
         ("ima-train", {"epochs": 0}, "epochs"),
         ("ima-train", {"batch_size": 1}, "batch_size"),
         ("multiview", {"statistical": 1}, "statistical"),
-        ("multiview", {"change_prob": 0}, "change_prob"),
         ("mss", {"n_envs": 1}, "n_envs"),
         ("influence", {"n_mc": 1}, "n_mc"),
+        ("multiview", {"change_prob": 0}, "change_prob"),
     ])
     def test_invalid_value_exits_1_with_message(self, tmp_path, capsys,
                                                 command, config, key):
